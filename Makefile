@@ -4,7 +4,7 @@
 
 .PHONY: install test test-fast test-slow bench bench-engine bench-diff \
     verify verify-deep harness-quick harness-full runs-report blame \
-    watch postmortem serve serve-smoke examples clean
+    watch postmortem examples clean
 
 # window size for runs-report (make runs-report N=25)
 N ?= 10
@@ -57,16 +57,6 @@ watch:
 # render the newest post-mortem bundle from a failed --flight run
 postmortem:
 	python -m repro.harness postmortem show
-
-# the scheduler-as-a-service daemon (docs/serving.md); submit jobs with
-# `python -m repro.serve submit fig1 --wait`
-serve:
-	python -m repro.serve start --port 8765 --data results/serve
-
-# the CI service gate, locally: submit/run/fetch/cancel/shutdown plus
-# the kill -9 crash-recovery drill
-serve-smoke:
-	python tools/serve_smoke.py
 
 harness-quick:
 	python -m repro.harness all --quick --out results-quick/

@@ -292,8 +292,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # jobs/profile stay out of the hashed config: they must not change
         # simulated results, so sequential and parallel runs of the same
         # experiments share a config_hash and `runs diff` compares exactly.
-        from .jobspec import submitting_job_id
-
         entry = Ledger().record(
             kind="harness",
             config={
@@ -305,9 +303,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             metrics=metrics,
             wall_seconds=wall,
             argv=list(argv),
-            # a CLI invocation shelled from a service worker inherits
-            # REPRO_JOB_ID, so its ledger entry still names the job
-            job_id=submitting_job_id(),
             notes=f"jobs={jobs} profile={bool(args.profile)}",
         )
         # stderr, so stdout reports stay byte-identical across runs

@@ -62,16 +62,12 @@ def _cmd_list(ledger: Ledger, args) -> int:
             e.get("created", "?"),
             (e.get("git_sha") or "")[:9] or "-",
             e.get("config_hash", "")[:8],
-            # service-submitted runs carry the scheduler job id, so a
-            # service-run and a CLI-run entry ("-") of one config are
-            # distinguishable before `runs diff` compares them.
-            e.get("job_id") or "-",
             f"{e.get('wall_seconds', 0):.1f}",
         ]
         for e in entries
     ]
     print(render_table(
-        ["run_id", "kind", "created", "git", "config", "job", "wall_s"],
+        ["run_id", "kind", "created", "git", "config", "wall_s"],
         rows,
         title=f"{len(rows)} run(s) in {ledger.root}",
     ))
@@ -84,7 +80,7 @@ def _cmd_show(ledger: Ledger, args) -> int:
         print(json.dumps(entry, indent=1, default=str))
         return 0
     for key in ("run_id", "kind", "created", "git_sha", "python",
-                "platform", "seed", "job_id", "config_hash", "wall_seconds",
+                "platform", "seed", "config_hash", "wall_seconds",
                 "notes"):
         if entry.get(key) is not None:
             print(f"{key:13s} {entry[key]}")

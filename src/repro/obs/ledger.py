@@ -97,19 +97,13 @@ class Ledger:
         seed: Optional[int] = None,
         notes: Optional[str] = None,
         created: Optional[float] = None,
-        job_id: Optional[str] = None,
     ) -> Dict:
         """Write one manifest; returns the recorded entry dict.
 
-        ``kind`` tags the producer (``"harness"``, ``"bench_engine"``,
-        ``"serve"``); ``config`` is the full knob set (hashed into
-        ``config_hash`` so runs are comparable only when their configs
-        match); ``metrics`` is a flat ``name -> number`` dict — the
-        diffable surface.  ``job_id`` records the scheduler-service job
-        that submitted the run (``None`` for direct CLI invocations):
-        ``jobs``-style knobs stay out of the hashed config, so a
-        service-run entry and a CLI-run entry of the same spec share a
-        ``config_hash`` and ``runs diff`` compares them exactly.
+        ``kind`` tags the producer (``"harness"``, ``"bench_engine"``);
+        ``config`` is the full knob set (hashed into ``config_hash`` so
+        runs are comparable only when their configs match); ``metrics``
+        is a flat ``name -> number`` dict — the diffable surface.
         """
         created = time.time() if created is None else created
         chash = config_hash(config)
@@ -132,7 +126,6 @@ class Ledger:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "seed": seed,
-            "job_id": job_id,
             "config": config,
             "config_hash": chash,
             "wall_seconds": round(float(wall_seconds), 3),
@@ -148,7 +141,7 @@ class Ledger:
         index_line = {
             k: entry[k]
             for k in ("schema", "run_id", "kind", "created", "git_sha",
-                      "config_hash", "wall_seconds", "job_id")
+                      "config_hash", "wall_seconds")
         }
         with open(self.index_path, "a") as fh:
             fh.write(json.dumps(index_line, sort_keys=True) + "\n")
@@ -187,6 +180,8 @@ class Ledger:
                     back = int(ref.split("~", 1)[1])
                 except ValueError:
                     raise LedgerError(f"bad ledger ref {ref!r}") from None
+            if back < 0:
+                raise LedgerError(f"bad ledger ref {ref!r}: N must be >= 0")
             if back >= len(entries):
                 raise LedgerError(
                     f"{ref!r} reaches past the {len(entries)} recorded run(s)"

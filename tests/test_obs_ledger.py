@@ -69,6 +69,8 @@ class TestLedger:
             ledger.load("20")  # ambiguous prefix (both start with "20")
         with pytest.raises(LedgerError):
             ledger.load("no-such-run")
+        with pytest.raises(LedgerError):
+            ledger.load("last~-1")  # negative N must not wrap to the oldest run
 
     def test_env_var_moves_the_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "elsewhere"))
@@ -152,6 +154,37 @@ class TestRunsCli:
         assert "vs prev" in out
         assert "first" in out
         assert "ok" in out
+
+    def test_old_entries_with_job_id_still_load(self, capsys):
+        """Entries written when the ledger still carried ``job_id`` load."""
+        ledger = Ledger()
+        ledger.root.mkdir(parents=True)
+        index = []
+        for n in range(2):
+            run_id = f"20231114T221320Z-abcdef0{n}"
+            entry = {
+                "schema": 1, "run_id": run_id, "kind": "harness",
+                "created": "2023-11-14T22:13:20Z", "argv": ["tab1"],
+                "git_sha": None, "python": "3.11.0", "platform": "linux",
+                "seed": None, "job_id": "job-xyz",
+                "config": {"experiments": ["tab1"]},
+                "config_hash": "abcdef0123", "wall_seconds": 1.0,
+                "metrics": {"sim.cycles": 100}, "notes": None,
+            }
+            (ledger.root / f"{run_id}.json").write_text(json.dumps(entry))
+            index.append(json.dumps({
+                k: entry[k] for k in ("schema", "run_id", "kind", "created",
+                                      "git_sha", "config_hash",
+                                      "wall_seconds", "job_id")
+            }))
+        ledger.index_path.write_text("\n".join(index) + "\n")
+
+        assert main(["runs", "list"]) == 0
+        assert "2 run(s)" in capsys.readouterr().out
+        assert main(["runs", "show", "last"]) == 0
+        assert "20231114T221320Z-abcdef01" in capsys.readouterr().out
+        assert main(["runs", "diff", "last~1", "last"]) == 0
+        assert "VERDICT: PASS" in capsys.readouterr().out
 
     def test_unknown_ref_exits_1(self, capsys):
         assert main(["runs", "show", "nope"]) == 1
