@@ -134,8 +134,7 @@ def run_persistent_bfs(
     grow_on_full: bool = True,
     max_cycles: int = 20_000_000_000,
     verify: bool = False,
-    probe: Optional[object] = None,
-    watchdog: Optional[object] = None,
+    observers=(),
     queue_factory: Optional[Callable[[int], DeviceQueue]] = None,
 ) -> BFSRun:
     """Simulate a persistent-thread BFS with the given queue variant.
@@ -149,6 +148,8 @@ def run_persistent_bfs(
     capacity, it must return a :class:`~repro.core.DeviceQueue` (e.g. a
     :class:`~repro.core.ShardedQueue`; the sharded persistent kernel is
     selected automatically).  ``variant`` then only labels the run.
+
+    ``observers`` are forwarded to every launch (``Engine.launch``).
     """
     attempts = 0
     cap = capacity or bfs_queue_capacity(graph, device, n_workgroups)
@@ -166,8 +167,7 @@ def run_persistent_bfs(
                 circular,
                 max_cycles,
                 verify,
-                probe,
-                watchdog,
+                observers,
                 queue_factory,
             )
         except KernelAbort as exc:
@@ -187,8 +187,7 @@ def _run_once(
     circular: bool,
     max_cycles: int,
     verify: bool,
-    probe: Optional[object] = None,
-    watchdog: Optional[object] = None,
+    observers=(),
     queue_factory: Optional[Callable[[int], DeviceQueue]] = None,
 ) -> BFSRun:
     engine = Engine(device)
@@ -212,8 +211,7 @@ def _run_once(
         queue, BFSWorker(), sched, subtasks_per_cycle=subtasks_per_cycle
     )
     result = engine.launch(
-        kernel, n_workgroups, max_cycles=max_cycles, probe=probe,
-        watchdog=watchdog,
+        kernel, n_workgroups, max_cycles=max_cycles, observers=observers
     )
 
     run = BFSRun(

@@ -135,7 +135,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--flight", action="store_true",
         help=(
             "attach the flight recorder + liveness watchdog to every "
-            "launch (passive: reports stay byte-identical); with "
+            "launch (passive: reports stay byte-identical; composes "
+            "with --profile); with "
             "--run-log, stream periodic snapshot telemetry for "
             "'repro-harness watch'; on failure, dump a postmortem.json "
             "bundle under --postmortem-dir"
@@ -202,14 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     registry = None if args.no_ledger else MetricsRegistry()
 
     telemetry = None
-    if args.flight and args.profile:
-        # both would install PROBE_FACTORY; the profile session wins.
-        print(
-            "[--flight is ignored with --profile: the profile session "
-            "owns the probe hook]",
-            file=sys.stderr,
-        )
-    elif args.flight:
+    if args.flight:
         telemetry = {
             "path": args.run_log,
             "postmortem_dir": args.postmortem_dir,
@@ -236,18 +230,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     t0 = time.time()
     try:
-        if args.profile:
-            from .experiments import run_many_profiled
-
-            results, profiles = run_many_profiled(
-                cfg, ids, jobs=jobs, observer=observer, registry=registry,
-            )
-        else:
-            profiles = {}
-            results = run_many(
-                cfg, ids, jobs=jobs, observer=observer, registry=registry,
-                telemetry=telemetry,
-            )
+        profiles = {} if args.profile else None
+        results = run_many(
+            cfg, ids, jobs=jobs, observer=observer, registry=registry,
+            telemetry=telemetry, profiles=profiles,
+        )
     except Exception as exc:
         if telemetry is not None and telemetry.get("postmortem_dir"):
             # worker-side FlightSessions wrote the bundle(s); point at
@@ -272,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.out:
             path = result.save(args.out)
             print(f"[saved {path}]")
-            launches = profiles.get(result.exp_id)
+            launches = (profiles or {}).get(result.exp_id)
             if launches is not None:
                 ppath = os.path.join(args.out, f"{result.exp_id}.profile.json")
                 with open(ppath, "w") as fh:

@@ -735,61 +735,65 @@ def _run_group_collect(
     group: List[str],
     collect_metrics: bool,
     telemetry: Optional[Dict] = None,
-) -> Tuple[List[ExperimentResult], Optional[Dict]]:
-    """Run one group, optionally under a metrics session (must pickle).
+    profile: bool = False,
+) -> Tuple[List[ExperimentResult], Optional[Dict], Optional[List[Dict]]]:
+    """Run one group under the sessions asked for (must pickle).
 
-    Returns ``(results, registry_snapshot_or_None)`` — worker processes
-    cannot share the parent's registry, so they ship a snapshot back and
-    the parent merges (counters add, so merge order does not matter).
+    Returns ``(results, registry_snapshot_or_None, launch_metrics_or_None)``
+    — worker processes cannot share the parent's registry or sessions,
+    so they ship a snapshot and the reduced per-launch profile metrics
+    back and the parent merges (counters add, so merge order does not
+    matter).
 
+    ``collect_metrics`` opens a :class:`repro.obs.registry.MetricsSession`.
     ``telemetry`` (the harness ``--flight`` plumbing) opens a
-    :class:`repro.obs.flight.FlightSession` around the group: every
-    launch gets a flight recorder plus liveness watchdog, launch-end
-    snapshots stream into the runlog at ``telemetry["path"]`` (when
-    set), and a failure dumps a post-mortem bundle under
-    ``telemetry["postmortem_dir"]``.  All of it is passive on the
-    simulation, so results and reports stay byte-identical.
+    :class:`repro.obs.flight.FlightSession`: every launch gets a flight
+    recorder plus liveness watchdog, launch-end snapshots stream into
+    the runlog at ``telemetry["path"]`` (when set), and a failure dumps
+    a post-mortem bundle under ``telemetry["postmortem_dir"]``.
+    ``profile`` opens a :class:`repro.obs.session.ProfileSession`.  The
+    sessions compose and are all passive on the simulation, so results
+    and reports stay byte-identical.
     """
-    if telemetry is None:
-        if not collect_metrics:
-            return _run_group(cfg, group), None
-        from repro.obs.registry import MetricsSession
-
-        with MetricsSession() as session:
-            out = _run_group(cfg, group)
-        return out, session.registry.snapshot()
-
     from contextlib import ExitStack
 
     from repro.obs.flight import FlightSession
     from repro.obs.live import TelemetryEmitter
     from repro.obs.registry import MetricsSession
+    from repro.obs.session import ProfileSession
 
-    emitter = None
-    if telemetry.get("path"):
-        emitter = TelemetryEmitter(
-            telemetry["path"],
-            job="+".join(group),
-            interval=telemetry.get("interval", 2.0),
-        )
     with ExitStack() as stack:
         session = (
             stack.enter_context(MetricsSession()) if collect_metrics else None
         )
-        flight = FlightSession(
-            watchdog=telemetry.get("watchdog", True),
-            postmortem_dir=telemetry.get("postmortem_dir"),
-            config=telemetry.get("config"),
-            metrics=session.registry if session is not None else None,
-            on_launch_end=emitter.launch_finished if emitter else None,
-            on_watchdog=emitter.watchdog_event if emitter else None,
+        if telemetry is not None:
+            emitter = None
+            if telemetry.get("path"):
+                emitter = TelemetryEmitter(
+                    telemetry["path"],
+                    job="+".join(group),
+                    interval=telemetry.get("interval", 2.0),
+                )
+            stack.enter_context(FlightSession(
+                watchdog=telemetry.get("watchdog", True),
+                postmortem_dir=telemetry.get("postmortem_dir"),
+                config=telemetry.get("config"),
+                metrics=session.registry if session is not None else None,
+                on_launch_end=emitter.launch_finished if emitter else None,
+                on_watchdog=emitter.watchdog_event if emitter else None,
+            ))
+            if emitter is not None:
+                stack.callback(emitter.close)
+        prof = (
+            stack.enter_context(ProfileSession(keep_timelines=False))
+            if profile else None
         )
-        stack.enter_context(flight)
-        if emitter is not None:
-            stack.callback(emitter.close)
         out = _run_group(cfg, group)
     snap = session.registry.snapshot() if session is not None else None
-    return out, snap
+    launches = (
+        [e["metrics"] for e in prof.launches] if prof is not None else None
+    )
+    return out, snap, launches
 
 
 def run_many(
@@ -799,6 +803,7 @@ def run_many(
     observer=None,
     registry=None,
     telemetry: Optional[Dict] = None,
+    profiles: Optional[Dict[str, List[Dict]]] = None,
 ) -> List[ExperimentResult]:
     """Run several experiments, optionally across worker processes.
 
@@ -827,8 +832,17 @@ def run_many(
     :func:`_run_group_collect`) attaches a flight recorder + liveness
     watchdog inside each worker and streams ``snapshot`` events into
     the shared runlog — the ``--flight`` path.
+
+    ``profiles`` (a dict, filled like ``registry``) puts a TimelineProbe
+    on every launch and receives ``{exp_id: [launch_metrics, ...]}`` —
+    the ``--profile`` path.  Profiling dissolves scheduling groups into
+    per-experiment jobs so each experiment's launches are attributable
+    to it, which forgoes the shared-sweep run cache.
     """
-    groups = plan_groups(ids)
+    if profiles is None:
+        groups = plan_groups(ids)
+    else:
+        groups = [[exp_id] for exp_id in ids]
     if observer is not None:
         observer.run_started(ids, groups, jobs)
     t0 = time.perf_counter()
@@ -836,11 +850,11 @@ def run_many(
     try:
         if jobs <= 1 or len(groups) <= 1:
             results = _run_groups_sequential(
-                cfg, groups, observer, registry, telemetry
+                cfg, groups, observer, registry, telemetry, profiles
             )
         else:
             results = _run_groups_parallel(
-                cfg, groups, jobs, observer, registry, telemetry
+                cfg, groups, jobs, observer, registry, telemetry, profiles
             )
         ok = True
     finally:
@@ -856,6 +870,7 @@ def _run_groups_sequential(
     observer=None,
     registry=None,
     telemetry: Optional[Dict] = None,
+    profiles: Optional[Dict[str, List[Dict]]] = None,
 ) -> List[ExperimentResult]:
     results: List[ExperimentResult] = []
     total = len(groups)
@@ -865,8 +880,9 @@ def _run_groups_sequential(
             observer.job_started(name, i, total)
         t0 = time.perf_counter()
         try:
-            out, snap = _run_group_collect(
-                cfg, group, registry is not None, telemetry
+            out, snap, launches = _run_group_collect(
+                cfg, group, registry is not None, telemetry,
+                profiles is not None,
             )
         except Exception as exc:
             if observer is not None:
@@ -878,6 +894,8 @@ def _run_groups_sequential(
             observer.job_finished(name, i, total, time.perf_counter() - t0)
         if registry is not None and snap is not None:
             registry.merge(snap)
+        if launches is not None:
+            profiles[name] = launches  # profiled groups are singletons
         results.extend(out)
     return results
 
@@ -898,6 +916,7 @@ def _run_groups_parallel(
     observer=None,
     registry=None,
     telemetry: Optional[Dict] = None,
+    profiles: Optional[Dict[str, List[Dict]]] = None,
 ) -> List[ExperimentResult]:
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
@@ -921,7 +940,8 @@ def _run_groups_parallel(
                 group = groups[i]
                 name = "+".join(group)
                 fut = ex.submit(
-                    _run_group_collect, cfg, group, collect, telemetry
+                    _run_group_collect, cfg, group, collect, telemetry,
+                    profiles is not None,
                 )
                 index[fut] = (i, name)
                 submitted[i] = time.perf_counter()
@@ -934,7 +954,7 @@ def _run_groups_parallel(
                 i, name = index[fut]
                 elapsed = time.perf_counter() - submitted[i]
                 try:
-                    out, snap = fut.result()
+                    out, snap, launches = fut.result()
                 except (OSError, BrokenProcessPool):
                     raise
                 except Exception as exc:
@@ -947,144 +967,13 @@ def _run_groups_parallel(
                     observer.job_finished(name, i, total, elapsed)
                 if registry is not None and snap is not None:
                     registry.merge(snap)
+                if launches is not None:
+                    profiles[name] = launches
                 results.extend(out)
             return results
     except (OSError, BrokenProcessPool):
         # the pool itself failed (fork unavailable, resource limits);
         # experiment errors propagate above instead of being retried.
         return _run_groups_sequential(
-            cfg, groups, observer, registry, telemetry
-        )
-
-
-def _run_exp_profiled(
-    cfg: HarnessConfig, exp_id: str, collect_metrics: bool
-) -> Tuple[List[ExperimentResult], Optional[Dict], List[Dict]]:
-    """Run one experiment under an in-process ProfileSession (must pickle).
-
-    The probe factory is a module global, so in a parallel run the
-    session has to open *inside* the worker; the reduced per-launch
-    metrics travel back with the results instead of the raw probes.
-    Returns ``(results, registry_snapshot_or_None, launch_metrics)``.
-    """
-    from repro.obs.session import ProfileSession
-
-    with ProfileSession(keep_timelines=False) as session:
-        out, snap = _run_group_collect(cfg, [exp_id], collect_metrics)
-    return out, snap, [e["metrics"] for e in session.launches]
-
-
-def run_many_profiled(
-    cfg: HarnessConfig,
-    ids: List[str],
-    jobs: int = 1,
-    observer=None,
-    registry=None,
-) -> Tuple[List[ExperimentResult], Dict[str, List[Dict]]]:
-    """:func:`run_many` with a TimelineProbe on every launch.
-
-    Profiling dissolves scheduling groups into per-experiment jobs so
-    each experiment's launches are attributable to it — which forgoes
-    the shared-sweep run cache (a profiled run re-simulates shared
-    cells; the sequential ``--profile`` path always worked this way).
-    Probes are passive, so reports stay byte-identical to an unprofiled
-    run.  Returns ``(results, {exp_id: [launch_metrics, ...]})``.
-    """
-    groups = [[exp_id] for exp_id in ids]
-    total = len(groups)
-    collect = registry is not None
-    if observer is not None:
-        observer.run_started(ids, groups, jobs)
-    t0 = time.perf_counter()
-    ok = False
-    results: List[ExperimentResult] = []
-    profiles: Dict[str, List[Dict]] = {}
-    try:
-        if jobs <= 1 or total <= 1:
-            _profiled_sequential(
-                cfg, ids, collect, observer, registry, results, profiles
-            )
-        else:
-            _profiled_parallel(
-                cfg, ids, jobs, collect, observer, registry, results, profiles
-            )
-        ok = True
-    finally:
-        if observer is not None:
-            observer.run_finished(time.perf_counter() - t0, ok)
-    by_id = {r.exp_id: r for r in results}
-    return [by_id[exp_id] for exp_id in ids], profiles
-
-
-def _profiled_sequential(
-    cfg, ids, collect, observer, registry, results, profiles
-) -> None:
-    total = len(ids)
-    for i, exp_id in enumerate(ids):
-        if observer is not None:
-            observer.job_started(exp_id, i, total)
-        t0 = time.perf_counter()
-        try:
-            out, snap, launches = _run_exp_profiled(cfg, exp_id, collect)
-        except Exception as exc:
-            if observer is not None:
-                observer.job_finished(
-                    exp_id, i, total, time.perf_counter() - t0,
-                    error=repr(exc),
-                )
-            raise
-        if observer is not None:
-            observer.job_finished(exp_id, i, total, time.perf_counter() - t0)
-        if registry is not None and snap is not None:
-            registry.merge(snap)
-        profiles[exp_id] = launches
-        results.extend(out)
-
-
-def _profiled_parallel(
-    cfg, ids, jobs, collect, observer, registry, results, profiles
-) -> None:
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    total = len(ids)
-    order = sorted(
-        range(total), key=lambda i: (-_COST_HINT.get(ids[i], 1), i)
-    )
-    try:
-        with ProcessPoolExecutor(max_workers=min(jobs, total)) as ex:
-            index = {}
-            submitted = {}
-            for i in order:
-                exp_id = ids[i]
-                fut = ex.submit(_run_exp_profiled, cfg, exp_id, collect)
-                index[fut] = (i, exp_id)
-                submitted[i] = time.perf_counter()
-                if observer is not None:
-                    observer.job_started(exp_id, i, total)
-            for fut in as_completed(index):
-                i, exp_id = index[fut]
-                elapsed = time.perf_counter() - submitted[i]
-                try:
-                    out, snap, launches = fut.result()
-                except (OSError, BrokenProcessPool):
-                    raise
-                except Exception as exc:
-                    if observer is not None:
-                        observer.job_finished(
-                            exp_id, i, total, elapsed, error=repr(exc)
-                        )
-                    raise
-                if observer is not None:
-                    observer.job_finished(exp_id, i, total, elapsed)
-                if registry is not None and snap is not None:
-                    registry.merge(snap)
-                profiles[exp_id] = launches
-                results.extend(out)
-    except (OSError, BrokenProcessPool):
-        # pool startup failed: fall back to in-process profiled runs.
-        results.clear()
-        profiles.clear()
-        _profiled_sequential(
-            cfg, ids, collect, observer, registry, results, profiles
+            cfg, groups, observer, registry, telemetry, profiles
         )

@@ -16,9 +16,10 @@ queue variants, and persistent scheduler emit:
   CAS failure bursts);
 * :func:`~repro.obs.perfetto.write_trace` — a Chrome ``trace_event``
   JSON export, loadable at https://ui.perfetto.dev;
-* :class:`~repro.obs.session.ProfileSession` — process-wide attachment:
-  every ``Engine.launch`` in scope gets a probe, metrics are aggregated
-  per launch, and reports stay byte-identical.
+* :class:`~repro.obs.session.ProfileSession` — a
+  :class:`~repro.simt.engine.Session`: every ``Engine.launch`` while it
+  is attached gets a probe, metrics are aggregated per launch, and
+  reports stay byte-identical.
 
 **Run-level** (this PR) — aggregates across launches, jobs, and whole
 invocations:
@@ -26,7 +27,7 @@ invocations:
 * :class:`~repro.obs.registry.MetricsRegistry` /
   :class:`~repro.obs.registry.MetricsSession` — labelled counters,
   gauges, and histograms; every finished launch's ``SimStats`` lands
-  here via the engine's ``METRICS_SINK`` hook, and snapshots merge
+  here through the session's ``launch_end`` hook, and snapshots merge
   exactly across ``--jobs N`` worker processes;
 * :class:`~repro.obs.runlog.RunLog` /
   :class:`~repro.obs.runlog.LiveReporter` — schema-versioned JSONL run

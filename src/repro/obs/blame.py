@@ -49,6 +49,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.simt.engine import Session
+
 from .timeline import TimelineProbe
 
 #: segment classes that are productive work rather than stall.
@@ -750,13 +752,13 @@ def publish_blame(summary: BlameSummary, registry) -> None:
 # ----------------------------------------------------------------------
 # recording session
 # ----------------------------------------------------------------------
-class BlameSession:
-    """Context manager installing a :class:`BlameProbe` factory.
+class BlameSession(Session):
+    """Session attaching a :class:`BlameProbe` to every launch.
 
-    While active, every ``Engine.launch`` without an explicit probe
-    records blame evidence; each launch is compiled to a
-    :class:`BlameSummary` in :attr:`launches` as it ends.  Use
-    :meth:`merged` for the whole session.  Not re-entrant.
+    While attached, every ``Engine.launch`` records blame evidence;
+    each launch is compiled to a :class:`BlameSummary` in
+    :attr:`launches` as it ends.  Use :meth:`merged` for the whole
+    session.  Not re-entrant.
     """
 
     def __init__(
@@ -774,11 +776,9 @@ class BlameSession:
         self.graphs: List[BlameGraph] = []
         #: raw probes (Perfetto export with flow arrows needs them).
         self.probes: List[BlameProbe] = []
-        self._prev_factory = None
-        self._active = False
 
-    def _factory(self):
-        return BlameProbe(max_events=self.max_events, on_end=self._collect)
+    def observers(self) -> List[BlameProbe]:
+        return [BlameProbe(max_events=self.max_events, on_end=self._collect)]
 
     def _collect(self, probe: BlameProbe) -> None:
         graph = build_graph(probe)
@@ -793,22 +793,3 @@ class BlameSession:
         for s in self.launches:
             out.merge(s)
         return out
-
-    def __enter__(self) -> "BlameSession":
-        if self._active:
-            raise RuntimeError("BlameSession is not re-entrant")
-        from repro.simt import engine as _engine
-
-        self._prev_factory = _engine.PROBE_FACTORY
-        _engine.PROBE_FACTORY = self._factory
-        self._active = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._active:
-            raise RuntimeError("BlameSession exited without entering")
-        from repro.simt import engine as _engine
-
-        _engine.PROBE_FACTORY = self._prev_factory
-        self._prev_factory = None
-        self._active = False

@@ -37,7 +37,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from repro.simt.engine import OP_KIND_NAMES
+from repro.simt.engine import OP_KIND_NAMES, Session
 from repro.simt.probe import Probe
 
 from .blame import COMPUTE, OTHER, _PHASE_CLASS
@@ -350,19 +350,17 @@ class FlightRecorder(Probe):
 
 
 # ----------------------------------------------------------------------
-# process-wide attachment
+# session
 # ----------------------------------------------------------------------
-class FlightSession:
+class FlightSession(Session):
     """Attach a flight recorder (and optionally a watchdog) to every
     ``Engine.launch`` in this process.
 
-    Mirrors :class:`repro.obs.session.ProfileSession`: installs a
-    :data:`repro.simt.engine.PROBE_FACTORY` on enter and restores the
-    previous one on exit; with ``watchdog=True`` it also installs a
-    :data:`repro.simt.engine.WATCHDOG_FACTORY` whose watchdog reads the
-    *same* launch's recorder.  ``self.last`` always points at the most
-    recent launch's recorder — on exit with a pending exception and a
-    ``postmortem_dir``, that recorder is frozen into a
+    Each launch gets a fresh :class:`FlightRecorder` and, with
+    ``watchdog=True``, a :class:`~repro.obs.watchdog.LivenessWatchdog`
+    reading that same recorder.  ``self.last`` always points at the
+    most recent launch's recorder — on exit with a pending exception
+    and a ``postmortem_dir``, that recorder is frozen into a
     ``postmortem.json`` bundle (the exception itself propagates).
 
     Not re-entrant, like the other sessions.
@@ -392,29 +390,19 @@ class FlightSession:
         #: ``(cycle, action, classification)`` watchdog escalations seen
         #: across the session (mirrors each watchdog's own log).
         self.watchdog_events: List[tuple] = []
-        self._pending_wd = None
-        self._prev_probe_factory = None
-        self._prev_wd_factory = None
-        self._active = False
 
-    # -- factories -----------------------------------------------------
-    def _probe_factory(self):
+    def observers(self) -> list:
         rec = FlightRecorder(self.ring)
         rec.on_end = self._launch_end
         self.last = rec
-        if self.watchdog:
-            from .watchdog import LivenessWatchdog
+        if not self.watchdog:
+            return [rec]
+        from .watchdog import LivenessWatchdog
 
-            self._pending_wd = LivenessWatchdog(
-                rec, on_event=self._wd_event, **self.watchdog_opts
-            )
-        return rec
-
-    def _wd_factory(self):
-        # paired with the recorder the probe factory just built for this
-        # launch; a launch given an explicit probe gets no watchdog.
-        wd, self._pending_wd = self._pending_wd, None
-        return wd
+        return [
+            rec,
+            LivenessWatchdog(rec, on_event=self._wd_event, **self.watchdog_opts),
+        ]
 
     # -- event sinks ---------------------------------------------------
     def _launch_end(self, rec: FlightRecorder) -> None:
@@ -436,37 +424,16 @@ class FlightSession:
 
     # -- context manager -----------------------------------------------
     def __enter__(self) -> "FlightSession":
-        from repro.simt import engine as _engine
-
-        if self._active:
-            raise RuntimeError("FlightSession is not re-entrant")
-        self._prev_probe_factory = _engine.PROBE_FACTORY
-        _engine.PROBE_FACTORY = self._probe_factory
-        if self.watchdog:
-            self._prev_wd_factory = _engine.WATCHDOG_FACTORY
-            _engine.WATCHDOG_FACTORY = self._wd_factory
+        super().__enter__()
         if self.metrics is not None and self.watchdog:
             # materialize the gated series at zero so healthy runs
             # record an explicit watchdog.trips = 0 in the ledger.
             self.metrics.counter("watchdog.trips").inc(0)
             self.metrics.counter("watchdog.warns").inc(0)
-        self._active = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        from repro.simt import engine as _engine
-
-        if not self._active:
-            raise RuntimeError(
-                "FlightSession.__exit__ without a matching __enter__"
-            )
-        _engine.PROBE_FACTORY = self._prev_probe_factory
-        self._prev_probe_factory = None
-        if self.watchdog:
-            _engine.WATCHDOG_FACTORY = self._prev_wd_factory
-            self._prev_wd_factory = None
-        self._pending_wd = None
-        self._active = False
+        super().__exit__(exc_type, exc, tb)
         if exc is not None and self.postmortem_dir and self.last is not None:
             bundle = build_postmortem(
                 recorder=self.last, error=exc, config=self.config

@@ -22,17 +22,18 @@ interface:
   persistent scheduler publish) into registry counters, so every layer
   of the simulator lands in the same namespace.
 
-Attachment mirrors the probe design: the engine owns a module-global
-:data:`repro.simt.engine.METRICS_SINK` callable (no dependency on this
-package) and :class:`MetricsSession` installs/removes a sink that
-ingests each launch.  Sinks run at *launch end*, after all simulated
-state is final, so an attached registry can never perturb a simulation
-— pinned by ``tests/test_simt_determinism.py``.
+:class:`MetricsSession` is a :class:`repro.simt.engine.Session` whose
+only per-launch observer is a ``launch_end`` hook that ingests the
+launch.  It runs after all simulated state is final and never turns on
+per-event probing, so an attached registry can never perturb a
+simulation — pinned by ``tests/test_simt_determinism.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+
+from repro.simt.engine import Session
 
 #: snapshot schema version (bump on incompatible layout changes).
 SCHEMA = 1
@@ -313,45 +314,29 @@ class MetricsRegistry:
         return out
 
 
-class MetricsSession:
+class MetricsSession(Session):
     """Attach a registry to every ``Engine.launch`` in this process.
 
-    While the session is active, each finished launch's ``SimStats`` is
-    ingested into :attr:`registry` (labelled by device name).  The sink
-    fires after the launch's final statistics are flushed, so the
-    session is passive by construction: simulated cycles, stats, and
-    memory are bit-identical with the session on or off.
+    While the session is attached, each finished launch's ``SimStats``
+    is ingested into :attr:`registry` (labelled by device name).  The
+    session is its own observer and has only ``launch_begin`` and
+    ``launch_end``, so it is passive by construction: simulated cycles,
+    stats, and memory are bit-identical with the session on or off.
 
-    Like :class:`~repro.obs.session.ProfileSession`, the sink is a
-    module global in *this* interpreter — worker processes open their
-    own session and ship ``registry.snapshot()`` back to the parent.
+    Sessions attach in *this* interpreter only — worker processes open
+    their own session and ship ``registry.snapshot()`` back to the
+    parent.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._prev_sink = None
-        self._active = False
+        self._device = ""
 
-    def _sink(self, device, n_wavefronts: int, stats) -> None:
-        self.registry.ingest_simstats(stats, device=device.name)
+    def observers(self) -> Tuple["MetricsSession"]:
+        return (self,)
 
-    def __enter__(self) -> "MetricsSession":
-        from repro.simt import engine as _engine
+    def launch_begin(self, device, n_wavefronts: int) -> None:
+        self._device = device.name
 
-        if self._active:
-            raise RuntimeError("MetricsSession is not re-entrant")
-        self._prev_sink = _engine.METRICS_SINK
-        _engine.METRICS_SINK = self._sink
-        self._active = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        from repro.simt import engine as _engine
-
-        if not self._active:
-            raise RuntimeError(
-                "MetricsSession.__exit__ without a matching __enter__"
-            )
-        _engine.METRICS_SINK = self._prev_sink
-        self._prev_sink = None
-        self._active = False
+    def launch_end(self, cycles: int, stats) -> None:
+        self.registry.ingest_simstats(stats, device=self._device)

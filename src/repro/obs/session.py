@@ -1,11 +1,10 @@
-"""Process-wide probe attachment for existing entry points.
+"""Profiling session: a TimelineProbe on every launch.
 
 The harness (and user code) reaches the engine through several layers
 — ``run_persistent_bfs``, soup drivers, experiment tables — and most of
-those signatures predate observability.  :class:`ProfileSession` avoids
-threading a ``probe=`` argument through all of them: while the session
-is active, :data:`repro.simt.engine.PROBE_FACTORY` hands every
-``Engine.launch`` in this process a fresh
+those signatures predate observability.  :class:`ProfileSession` is a
+:class:`repro.simt.engine.Session`: while it is attached, every
+``Engine.launch`` in this process gets a fresh
 :class:`~repro.obs.timeline.TimelineProbe`, and the session collects
 each finished launch's metrics.
 
@@ -18,21 +17,21 @@ Usage::
         run_persistent_bfs(...)
     prof.launches[0]["metrics"]["engine"]["occupancy"]
 
-Not multiprocess-aware: the factory is a module global in *this*
-interpreter, so run profiled experiments with ``jobs=1``.
+Sessions attach in *this* interpreter only: a worker process opens its
+own (``run_many(..., profiles=...)`` does).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.simt import engine as _engine
+from repro.simt.engine import Session
 
 from .metrics import compute_metrics
 from .timeline import TimelineProbe
 
 
-class ProfileSession:
+class ProfileSession(Session):
     """Attach a TimelineProbe to every launch while the session is open.
 
     Parameters
@@ -58,8 +57,6 @@ class ProfileSession:
         self.keep_timelines = keep_timelines
         #: one entry per finished launch: {"metrics": ..., "timeline": ...}
         self.launches: List[Dict] = []
-        self._prev_factory = None
-        self._active = False
 
     # ------------------------------------------------------------------
     def _collect(self, probe: TimelineProbe) -> None:
@@ -68,26 +65,8 @@ class ProfileSession:
             entry["timeline"] = probe
         self.launches.append(entry)
 
-    def _factory(self) -> TimelineProbe:
-        return TimelineProbe(max_events=self.max_events, on_end=self._collect)
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ProfileSession":
-        if self._active:
-            raise RuntimeError("ProfileSession is not re-entrant")
-        self._prev_factory = _engine.PROBE_FACTORY
-        _engine.PROBE_FACTORY = self._factory
-        self._active = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._active:
-            # restoring PROBE_FACTORY from a never-entered session would
-            # clobber whatever another session installed in the meantime.
-            raise RuntimeError("ProfileSession exited without being entered")
-        _engine.PROBE_FACTORY = self._prev_factory
-        self._prev_factory = None
-        self._active = False
+    def observers(self) -> List[TimelineProbe]:
+        return [TimelineProbe(max_events=self.max_events, on_end=self._collect)]
 
     # ------------------------------------------------------------------
     @property

@@ -9,10 +9,10 @@ delivered — and the only backstop so far was the engine's
 diagnosis.  Cooperative Kernels (PAPERS.md) makes the general argument:
 blocking algorithms on shared GPUs need *runtime* liveness detection.
 
-:class:`LivenessWatchdog` is that detector.  The engine polls it at
-simulated-cycle cadence (see
-:data:`repro.simt.engine.WATCHDOG_FACTORY`); each poll reads the
-paired :class:`~repro.obs.flight.FlightRecorder`'s
+:class:`LivenessWatchdog` is that detector.  Attached as a launch
+observer, the engine polls it at simulated-cycle cadence (see
+``Engine.launch``); each poll reads the paired
+:class:`~repro.obs.flight.FlightRecorder`'s
 :meth:`~repro.obs.flight.FlightRecorder.progress_signature` — a tuple
 of counters (deliveries, stores, exits, work-phase entries, done-flag
 raises) that advances iff some wavefront made real progress.  A full

@@ -29,6 +29,8 @@ from .engine import (
     Kernel,
     KernelContext,
     LaunchResult,
+    Session,
+    attached,
     transactions_for,
 )
 from .errors import (
@@ -73,6 +75,8 @@ __all__ = [
     "Kernel",
     "KernelContext",
     "LaunchResult",
+    "Session",
+    "attached",
     "transactions_for",
     "KernelAbort",
     "LaunchConfigError",

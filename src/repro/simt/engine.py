@@ -84,6 +84,7 @@ from .errors import (
 )
 from .memory import GlobalMemory
 from .ops import Abort, AtomicRMW, Compute, Fence, LocalOp, MemRead, MemWrite, Op
+from .probe import Probe, ProbeFanout
 from .stats import SimStats
 
 #: segment size (in 8-byte words) used by the coalescing model: lanes whose
@@ -316,46 +317,95 @@ def exec_mode(mode: str):
 _next_epoch = count(1).__next__
 
 
-#: opt-in observability hook: when set, every launch that was not given
-#: an explicit ``probe`` asks this zero-arg factory for one (it may
-#: return None to leave that launch unprobed).  Installed/removed by
-#: :class:`repro.obs.session.ProfileSession`; the indirection keeps the
-#: engine free of any dependency on the observability package.
-PROBE_FACTORY: Optional[Callable[[], Optional[object]]] = None
+# ----------------------------------------------------------------------
+# the observer attach point
+# ----------------------------------------------------------------------
+#: sessions currently attached, in attach order (see :class:`Session`).
+_ATTACHED: List["Session"] = []
 
-#: opt-in run-level metrics hook: when set, every finished launch is
-#: reported as ``METRICS_SINK(device, n_wavefronts, stats)`` *after* its
-#: statistics are final, so a sink can never perturb the simulation.
-#: Installed/removed by :class:`repro.obs.registry.MetricsSession`; like
-#: :data:`PROBE_FACTORY`, the indirection keeps the engine free of any
-#: dependency on the observability package.
-METRICS_SINK: Optional[Callable[[DeviceSpec, int, SimStats], None]] = None
 
-#: opt-in schedule-exploration hook: when set, every launch that was not
-#: given an explicit ``controller`` asks this zero-arg factory for one
-#: (it may return None to leave that launch uncontrolled).  A schedule
-#: controller perturbs *which* ready wavefront a CU issues from — see
-#: :class:`repro.verify.schedule.ScheduleController` — letting a
-#: verification driver explore interleavings the deterministic engine
-#: would never produce on its own.  Unlike probes, a controller is
-#: *active*: a controlled launch may simulate different cycles/stats
-#: than an uncontrolled one (that is its purpose).  With no controller,
-#: the issue path is the unmodified deterministic popleft, bit-identical
-#: to builds that predate the hook (pinned by the determinism tests).
-CONTROLLER_FACTORY: Optional[Callable[[], Optional[object]]] = None
+def attached() -> tuple:
+    """The sessions attached right now, in attach order."""
+    return tuple(_ATTACHED)
 
-#: opt-in liveness hook: when set, every launch that was not given an
-#: explicit ``watchdog`` asks this zero-arg factory for one (it may
-#: return None to leave that launch unwatched).  A watchdog exposes
-#: ``launch_begin(device, n_wavefronts) -> next_check_cycle`` and
-#: ``poll(now, live) -> next_check_cycle``; the engine calls ``poll``
-#: the first time simulated time reaches the returned cycle.  Polls are
-#: read-only with respect to simulated state — a watchdog that never
-#: escalates leaves the launch bit-identical to an unwatched one
-#: (pinned by the determinism tests) — but an escalating watchdog may
-#: raise (e.g. :class:`repro.simt.errors.WedgeError`) to abort a wedged
-#: launch.  Installed/removed by :class:`repro.obs.flight.FlightSession`.
-WATCHDOG_FACTORY: Optional[Callable[[], Optional[object]]] = None
+
+class Session:
+    """Base class for observer sessions: ``with session:`` attaches it.
+
+    While attached, the session's :meth:`observers` is called once at
+    the start of every ``Engine.launch`` in this process and its result
+    joins the launch's explicit ``observers``.  Sessions leave by
+    identity, so they nest and compose in any order.  A session is not
+    re-entrant.
+    """
+
+    def observers(self):
+        """The observers this session contributes to the next launch."""
+        return ()
+
+    def __enter__(self):
+        if any(s is self for s in _ATTACHED):
+            raise RuntimeError(f"{type(self).__name__} is not re-entrant")
+        _ATTACHED.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for i, s in enumerate(_ATTACHED):
+            if s is self:
+                del _ATTACHED[i]
+                return
+        raise RuntimeError(
+            f"{type(self).__name__} exited without being entered"
+        )
+
+
+class _Watchdogs:
+    """Several watchdogs behind the engine's single poll slot."""
+
+    def __init__(self, watchdogs: list):
+        self.watchdogs = watchdogs
+        self.due: List[int] = []
+
+    def launch_begin(self, device, n_wavefronts: int) -> int:
+        self.due = [w.launch_begin(device, n_wavefronts) for w in self.watchdogs]
+        return min(self.due)
+
+    def poll(self, now: int, live: int) -> int:
+        due = self.due
+        for i, w in enumerate(self.watchdogs):
+            if now >= due[i]:
+                due[i] = w.poll(now, live)
+        return min(due)
+
+
+def _classify(observers) -> tuple:
+    """Sort one launch's observers into ``(all, probe, watchdog, controller)``.
+
+    ``all`` is the explicit observers followed by every attached
+    session's contribution.  :class:`~repro.simt.probe.Probe` instances
+    feed the hot probe — None without any, the probe itself when alone,
+    else a :class:`~repro.simt.probe.ProbeFanout`.  Observers with
+    ``poll`` are watchdogs; one with ``pick`` is the controller.
+    """
+    obs = list(observers)
+    for session in _ATTACHED:
+        obs.extend(session.observers())
+    probes = [o for o in obs if isinstance(o, Probe)]
+    probe = (
+        None if not probes else probes[0] if len(probes) == 1
+        else ProbeFanout(probes)
+    )
+    dogs = [o for o in obs if hasattr(o, "poll")]
+    watchdog = (
+        None if not dogs else dogs[0] if len(dogs) == 1 else _Watchdogs(dogs)
+    )
+    controllers = [o for o in obs if hasattr(o, "pick")]
+    if len(controllers) > 1:
+        raise LaunchConfigError(
+            f"a launch takes at most one schedule controller, got "
+            f"{len(controllers)}"
+        )
+    return obs, probe, watchdog, controllers[0] if controllers else None
 
 
 def _resolve_op_kind(cls: type, op: Op) -> int:
@@ -425,9 +475,7 @@ class Engine:
         params: Optional[Dict[str, object]] = None,
         max_cycles: int = 20_000_000_000,
         charge_launch_overhead: bool = False,
-        probe: Optional[object] = None,
-        controller: Optional[object] = None,
-        watchdog: Optional[object] = None,
+        observers=(),
     ) -> LaunchResult:
         """Run ``kernel`` on ``n_wavefronts`` wavefronts until all exit.
 
@@ -441,27 +489,30 @@ class Engine:
         the reported cycle count; per-level drivers (Rodinia-style BFS) set
         it to model their dominant cost.
 
-        ``probe`` attaches an observability hook
-        (:class:`repro.simt.probe.Probe`) for this launch only.  Probes
-        are passive: a probed launch simulates bit-identically to an
-        unprobed one.  When no explicit probe is given and
-        :data:`PROBE_FACTORY` is installed, the factory supplies one.
+        ``observers`` are attached to this launch only, after which
+        every attached :class:`Session` adds its own (see
+        :func:`_classify` for how they are sorted).  Every observer gets
+        ``launch_begin(device, n_wavefronts)`` and, if the launch
+        finishes, ``launch_end(cycles, stats)`` when it has them.
 
-        ``controller`` attaches a schedule-exploration hook for this
-        launch only (see :data:`CONTROLLER_FACTORY`).  Whenever a CU is
-        about to issue, the controller's ``pick(now, cid, ready)`` picks
-        the index of the ready wavefront to issue from, or returns a
-        negative value to *hold* the CU for one cycle (the engine
-        re-polls it at ``now + 1``; the ``max_cycles`` watchdog bounds a
-        controller that holds forever).  Controllers perturb issue order
-        only — memory semantics, atomic serialization, and cost charging
-        are untouched, so every controlled execution is one the
-        simulated hardware could legally produce.
-
-        ``watchdog`` attaches a liveness monitor for this launch only
-        (see :data:`WATCHDOG_FACTORY`): the engine polls it at the
-        simulated cycles it requests; a poll that detects a wedge may
-        raise to abort the launch.
+        * :class:`~repro.simt.probe.Probe` instances receive the
+          per-event callbacks and the simulated clock.  Probes are
+          passive: a probed launch simulates bit-identically to an
+          unprobed one.
+        * A watchdog (an observer with ``poll``) returns the first
+          cycle it wants polled from ``launch_begin``; the engine calls
+          ``poll(now, live)`` once simulated time reaches it and takes
+          the next cycle from the return value.  Polls only read state,
+          but a poll that detects a wedge may raise to abort the launch.
+        * A schedule controller (an observer with ``pick``; at most one)
+          picks, whenever a CU is about to issue, the index of the
+          ready wavefront to issue from via ``pick(now, cid, ready)``,
+          or returns a negative value to *hold* the CU for one cycle
+          (the engine re-polls it at ``now + 1``; ``max_cycles`` bounds
+          a controller that holds forever).  Controllers perturb issue
+          order only — memory semantics, atomic serialization, and
+          cost charging are untouched, so every controlled execution is
+          one the simulated hardware could legally produce.
         """
         if n_wavefronts <= 0:
             raise LaunchConfigError(
@@ -477,19 +528,14 @@ class Engine:
         stats = SimStats()
         device = self.device
         memory = self.memory
-        if probe is None and PROBE_FACTORY is not None:
-            probe = PROBE_FACTORY()
+        observers, probe, watchdog, controller = _classify(observers)
         probing = probe is not None
         if probing:
             probe.now = 0
-            probe.launch_begin(device, n_wavefronts)
-        if controller is None and CONTROLLER_FACTORY is not None:
-            controller = CONTROLLER_FACTORY()
+        for o in observers:
+            if not hasattr(o, "poll") and hasattr(o, "launch_begin"):
+                o.launch_begin(device, n_wavefronts)
         controlled = controller is not None
-        if controlled:
-            controller.launch_begin(device, n_wavefronts)
-        if watchdog is None and WATCHDOG_FACTORY is not None:
-            watchdog = WATCHDOG_FACTORY()
         watching = watchdog is not None
         # first simulated cycle at which the watchdog wants a poll; the
         # per-event check below is a single comparison when unwatched.
@@ -1142,8 +1188,7 @@ class Engine:
         if charge_launch_overhead:
             total += device.kernel_launch_cycles
         stats.sim_cycles = total
-        if probing:
-            probe.launch_end(total, stats)
-        if METRICS_SINK is not None:
-            METRICS_SINK(device, n_wavefronts, stats)
+        for o in observers:
+            if hasattr(o, "launch_end"):
+                o.launch_end(total, stats)
         return LaunchResult(cycles=total, stats=stats, device=device)

@@ -26,13 +26,16 @@ package.
 
 Zero-cost contract
 ------------------
-Probing is strictly opt-in (``Engine.launch(..., probe=None)`` is the
-default) and instrumentation sites are gated on a single ``probe is not
-None`` test, so a probe-less launch runs the exact hot paths of an
-uninstrumented build.  A probe must be *passive*: it may read, never
-mutate, simulation state — the engine guarantees that attaching any
-conforming probe leaves every simulated cycle, statistic, and memory
-word bit-identical (pinned by ``tests/test_simt_determinism.py``).
+Probing is strictly opt-in: a launch has a probe only when a ``Probe``
+is among its observers (``Engine.launch(..., observers=...)`` or an
+attached :class:`~repro.simt.engine.Session`), and instrumentation
+sites are gated on a single ``probe is not None`` test, so a probe-less
+launch runs the exact hot paths of an uninstrumented build.  A single
+probe is used as is; several share one :class:`ProbeFanout`.  A probe
+must be *passive*: it may read, never mutate, simulation state — the
+engine guarantees that attaching any conforming probe leaves every
+simulated cycle, statistic, and memory word bit-identical (pinned by
+``tests/test_simt_determinism.py``).
 
 The :attr:`now` attribute is the probe's simulated clock: the engine
 stores the current cycle into it immediately before resuming a kernel
@@ -238,3 +241,63 @@ class Probe:
         ``"full_wait"``, ``"steal"``); ``detail`` optionally carries the
         queue prefix so blame can aggregate per queue/shard.  Purely a
         classification mark: phase marks never affect simulation."""
+
+
+#: the per-event callbacks: everything but ``launch_begin``/``launch_end``,
+#: which the engine calls on each observer directly.
+EVENT_CALLBACKS = tuple(
+    name for name, attr in vars(Probe).items()
+    if callable(attr) and not name.startswith("_")
+    and name not in ("launch_begin", "launch_end")
+)
+
+
+def _fan(targets: list):
+    def call(*args, **kwargs) -> None:
+        for target in targets:
+            target(*args, **kwargs)
+    return call
+
+
+class ProbeFanout(Probe):
+    """One hot probe that forwards to several, built once per launch.
+
+    Each callback is bound to only the children whose class overrides
+    it, so a callback no child wants stays the inherited no-op.  The
+    engine-maintained :attr:`now` and :attr:`cur_wf` reach every child.
+    """
+
+    def __init__(self, children) -> None:
+        self.children = tuple(children)
+        self._now = 0
+        self._cur_wf = -1
+        for name in EVENT_CALLBACKS:
+            base = getattr(Probe, name)
+            targets = [
+                getattr(c, name) for c in self.children
+                if getattr(type(c), name) is not base
+            ]
+            if len(targets) == 1:
+                setattr(self, name, targets[0])
+            elif targets:
+                setattr(self, name, _fan(targets))
+
+    @property
+    def now(self) -> int:
+        return self._now
+
+    @now.setter
+    def now(self, cycle: int) -> None:
+        self._now = cycle
+        for c in self.children:
+            c.now = cycle
+
+    @property
+    def cur_wf(self) -> int:
+        return self._cur_wf
+
+    @cur_wf.setter
+    def cur_wf(self, wf: int) -> None:
+        self._cur_wf = wf
+        for c in self.children:
+            c.cur_wf = wf

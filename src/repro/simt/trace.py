@@ -11,16 +11,16 @@ grabbed the token?", "who hit queue-full first?") — and, probed,
 Usage::
 
     tracer = Tracer(max_events=10_000)
-    engine.launch(tracer.wrap(kernel), n_wavefronts, probe=tracer)
+    engine.launch(tracer.wrap(kernel), n_wavefronts, observers=[tracer])
     print(tracer.render(limit=50))
     deq = tracer.filter(kind="AtomicRMW", detail_contains="wq.ctrl")
 
 ``Tracer`` extends :class:`~repro.simt.probe.Probe` purely so it can be
-passed as the launch's probe: the engine then keeps ``tracer.now`` at
-the current simulated cycle, which the wrapper stamps onto each event.
-Omitting ``probe=tracer`` (or attaching a different probe — the wrapper
-reads ``ctx.probe.now`` whoever owns it) keeps tracing working; events
-then record ``cycle=-1``.
+one of the launch's observers: the engine then keeps the launch probe's
+``now`` at the current simulated cycle, which the wrapper stamps onto
+each event.  Leaving the tracer out of ``observers`` keeps tracing
+working — the wrapper reads ``ctx.probe.now`` whoever owns it, and
+events record ``cycle=-1`` in a launch without any probe.
 
 Tracing is strictly opt-in: the engine's hot path is untouched, and the
 wrapper adds one tuple append per op to the traced launch only.

@@ -6,9 +6,9 @@ reservations — are *concurrency correctness* claims, yet the engine is
 deterministic: ordinary tests only ever exercise the one interleaving
 the event loop happens to produce.  This package closes that gap:
 
-* :mod:`repro.verify.schedule` — schedule controllers that ride the
-  engine's ``controller`` hook (:data:`repro.simt.engine.CONTROLLER_FACTORY`)
-  and perturb wavefront issue order: seeded-random interleavings plus
+* :mod:`repro.verify.schedule` — schedule controllers, launch
+  observers with a ``pick`` hook (see ``Engine.launch``), that
+  perturb wavefront issue order: seeded-random interleavings plus
   targeted adversarial schedules (delay-the-proxy, starve-one-CU).
 * :mod:`repro.verify.oracle` — an invariant oracle
   (:class:`~repro.verify.oracle.InvariantOracle`) that records the

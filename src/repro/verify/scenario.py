@@ -252,8 +252,7 @@ def run_scenario(sc: Scenario) -> Outcome:
             sc.n_wavefronts,
             params={"max_work_cycles": sc.max_work_cycles},
             max_cycles=sc.max_cycles,
-            probe=oracle,
-            controller=controller,
+            observers=[oracle] if controller is None else [oracle, controller],
         )
     except VerificationError as exc:
         return failed(exc.invariant, exc.detail)

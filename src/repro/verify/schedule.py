@@ -2,9 +2,10 @@
 
 The engine's event loop is deterministic — left alone it explores exactly
 one interleaving per (kernel, launch geometry).  A *schedule controller*
-rides :data:`repro.simt.engine.CONTROLLER_FACTORY` / the ``controller=``
-launch argument and perturbs which ready wavefront a compute unit issues
-next, or holds the CU idle for a cycle.  Because the engine applies the
+is a launch observer with a ``pick`` hook (``Engine.launch(...,
+observers=[controller])``, or contributed by an attached session) that
+perturbs which ready wavefront a compute unit issues next, or holds the
+CU idle for a cycle.  Because the engine applies the
 controller strictly at the issue-selection point, every controlled
 execution is still a legal hardware execution: memory semantics, atomic
 serialization and cost charging are untouched.  The controllers here are

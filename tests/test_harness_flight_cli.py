@@ -49,14 +49,30 @@ class TestFlightFlag:
         assert not list((tmp_path / "pm").glob("*.json")) \
             if (tmp_path / "pm").exists() else True
 
-    def test_flight_with_profile_is_ignored_with_message(
-        self, tmp_path, capsys
-    ):
-        assert main(
-            ["tab1", "--quick", "--no-ledger", "--flight", "--profile"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "--flight is ignored with --profile" in err
+    def test_flight_composes_with_profile(self, tmp_path, capsys):
+        log = tmp_path / "both.jsonl"
+        for name, flags in (
+            ("plain", []),
+            ("prof", ["--profile"]),
+            ("both", ["--profile", "--flight", "--run-log", str(log),
+                      "--postmortem-dir", str(tmp_path / "pm")]),
+        ):
+            assert main(
+                ["fig1", "--quick", "--no-ledger",
+                 "--out", str(tmp_path / name), *flags]
+            ) == 0
+        assert "ignored" not in capsys.readouterr().err
+        # reports match a plain run byte for byte, the profile matches
+        # --profile alone, and the flight recorder streamed snapshots
+        for fname in ("fig1.json", "fig1.txt"):
+            assert (tmp_path / "both" / fname).read_bytes() == (
+                tmp_path / "plain" / fname
+            ).read_bytes()
+        assert (tmp_path / "both" / "fig1.profile.json").read_bytes() == (
+            tmp_path / "prof" / "fig1.profile.json"
+        ).read_bytes()
+        kinds = [ev["event"] for ev in read_runlog(str(log))]
+        assert "snapshot" in kinds
 
 
 class TestWatchCli:

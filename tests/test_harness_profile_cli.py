@@ -128,9 +128,9 @@ class TestProfileFlag:
         import repro.simt.engine as engine_mod
 
         monkeypatch.setitem(EXPERIMENTS, "tinyexp", _tiny_experiment)
-        assert engine_mod.PROBE_FACTORY is None
+        assert engine_mod.attached() == ()
         assert main(["tinyexp", "--profile"]) == 0
-        assert engine_mod.PROBE_FACTORY is None
+        assert engine_mod.attached() == ()
 
     def test_profile_single_experiment_with_jobs_stays_quiet(
         self, monkeypatch, capsys
@@ -148,11 +148,12 @@ class TestProfileFlag:
         monkeypatch.setitem(EXPERIMENTS, "tinyexp2", _tiny_experiment2)
 
         from repro.harness.config import HarnessConfig
-        from repro.harness.experiments import run_many_profiled
+        from repro.harness.experiments import run_many
 
         cfg = HarnessConfig(quick=True, verify=False)
-        results, profiles = run_many_profiled(
-            cfg, ["tinyexp", "tinyexp2"], jobs=2
+        profiles = {}
+        results = run_many(
+            cfg, ["tinyexp", "tinyexp2"], jobs=2, profiles=profiles
         )
         assert [r.exp_id for r in results] == ["tinyexp", "tinyexp2"]
         for exp_id in ("tinyexp", "tinyexp2"):
@@ -161,8 +162,9 @@ class TestProfileFlag:
             assert all(l["cycles"] > 0 for l in launches)
 
         # profiled parallel results match the sequential profiled path
-        seq_results, seq_profiles = run_many_profiled(
-            cfg, ["tinyexp", "tinyexp2"], jobs=1
+        seq_profiles = {}
+        seq_results = run_many(
+            cfg, ["tinyexp", "tinyexp2"], jobs=1, profiles=seq_profiles
         )
         assert [r.text for r in seq_results] == [r.text for r in results]
         assert seq_profiles == profiles
@@ -180,15 +182,14 @@ class TestProfileSessionEdgeCases:
         import repro.simt.engine as engine_mod
         from repro.obs import ProfileSession
 
-        # an installed factory must survive a stray __exit__: restoring
-        # from a never-entered session used to clobber it to None.
+        # an attached session must survive a stray __exit__ of another
+        # one that was never entered.
         with ProfileSession() as active:
-            installed = engine_mod.PROBE_FACTORY
-            assert installed is not None
+            assert engine_mod.attached() == (active,)
             with pytest.raises(RuntimeError):
                 ProfileSession().__exit__(None, None, None)
-            assert engine_mod.PROBE_FACTORY is installed
-        assert engine_mod.PROBE_FACTORY is None
+            assert engine_mod.attached() == (active,)
+        assert engine_mod.attached() == ()
 
     def test_session_reusable_after_clean_exit(self):
         import repro.simt.engine as engine_mod
@@ -197,5 +198,5 @@ class TestProfileSessionEdgeCases:
         session = ProfileSession()
         for _ in range(2):
             with session:
-                assert engine_mod.PROBE_FACTORY is not None
-            assert engine_mod.PROBE_FACTORY is None
+                assert engine_mod.attached() == (session,)
+            assert engine_mod.attached() == ()

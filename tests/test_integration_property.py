@@ -133,14 +133,12 @@ class TestAdaptiveOverflowProperties:
         more than 2 idle segments while the run is in flight."""
         from repro.core import GrowQueue, SchedulerControl, persistent_kernel
         from repro.obs.timeline import TimelineProbe
-        from repro.simt import engine as simt_engine
         from repro.verify.workloads import build
+        from test_simt_engine import FactorySession
 
         worker, seeds, expected = build("countdown", scale)
         probe = TimelineProbe()
-        prev = simt_engine.PROBE_FACTORY
-        simt_engine.PROBE_FACTORY = lambda: probe
-        try:
+        with FactorySession(lambda: probe):
             eng = simt.Engine(simt.TESTGPU)
             q = GrowQueue(24, seg_cap=8, pool_segments=3)
             sched = SchedulerControl()
@@ -152,8 +150,6 @@ class TestAdaptiveOverflowProperties:
                 persistent_kernel(q, worker, sched),
                 n_wf, params={"max_work_cycles": 100_000},
             )
-        finally:
-            simt_engine.PROBE_FACTORY = prev
         assert res.stats.custom["scheduler.tasks_completed"] == expected
         links = probe.segment_links.get("wq", [])
         releases = probe.segment_releases.get("wq", [])

@@ -29,7 +29,7 @@ def bfs_probe():
     """One profiled RF/AN BFS on the test GPU, shared across tests."""
     g = roadmap_graph(12, 12, seed=3)
     probe = TimelineProbe()
-    run = run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 4, verify=True, probe=probe)
+    run = run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 4, verify=True, observers=[probe])
     return probe, run
 
 
@@ -89,7 +89,7 @@ class TestTimelineProbe:
     def test_truncation_cap(self):
         g = roadmap_graph(8, 8, seed=1)
         probe = TimelineProbe(max_events=100)
-        run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 2, verify=False, probe=probe)
+        run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 2, verify=False, observers=[probe])
         assert probe.truncated
         assert len(probe.issues) == 100
         # queue streams keep recording past the cap
@@ -195,7 +195,7 @@ class TestPerfetto:
         g = roadmap_graph(8, 8, seed=1)
         probe = TimelineProbe(max_events=100)
         run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 2, verify=False,
-                           probe=probe)
+                           observers=[probe])
         doc = to_perfetto(probe)
         assert doc["otherData"]["truncated"] is True
         assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) > 0
@@ -233,7 +233,7 @@ class TestPerfetto:
         g = roadmap_graph(12, 12, seed=3)
         bprobe = BlameProbe()
         run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 4, verify=False,
-                           probe=bprobe)
+                           observers=[bprobe])
         flows = [
             e for e in to_perfetto(bprobe)["traceEvents"]
             if e.get("cat") == "blame"
@@ -279,12 +279,14 @@ class TestProfileSession:
             with pytest.raises(RuntimeError):
                 session.__enter__()
 
-    def test_explicit_probe_wins_over_factory(self):
+    def test_explicit_probe_composes_with_session(self):
         g = roadmap_graph(8, 8, seed=2)
         mine = TimelineProbe()
         with ProfileSession() as session:
-            run_persistent_bfs(
-                g, 0, "RF/AN", TESTGPU, 2, verify=False, probe=mine
+            run = run_persistent_bfs(
+                g, 0, "RF/AN", TESTGPU, 2, verify=False, observers=[mine]
             )
-        assert mine.cycles > 0
-        assert session.launches == []  # factory never consulted
+        # both the explicit probe and the session see the launch
+        assert mine.cycles == run.cycles
+        assert len(session.launches) == 1
+        assert session.launches[0]["metrics"]["cycles"] == run.cycles

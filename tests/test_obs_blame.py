@@ -40,7 +40,7 @@ def blame_run():
     g = roadmap_graph(12, 12, seed=3)
     probe = BlameProbe()
     run = run_persistent_bfs(
-        g, 0, "RF/AN", TESTGPU, 4, verify=False, probe=probe
+        g, 0, "RF/AN", TESTGPU, 4, verify=False, observers=[probe]
     )
     graph = build_graph(probe)
     return probe, run, graph
@@ -58,7 +58,7 @@ def blame_social():
     g = social_graph(400, 8, seed=1)
     probe = BlameProbe()
     run = run_persistent_bfs(
-        g, 0, "RF/AN", TESTGPU, 4, verify=False, probe=probe
+        g, 0, "RF/AN", TESTGPU, 4, verify=False, observers=[probe]
     )
     return probe, run, build_graph(probe)
 
@@ -305,10 +305,10 @@ class TestBlameSession:
         import repro.simt.engine as engine_mod
 
         g = roadmap_graph(8, 8, seed=2)
-        assert engine_mod.PROBE_FACTORY is None
+        assert engine_mod.attached() == ()
         with BlameSession(keep_graphs=True, keep_probes=True) as session:
             run = run_persistent_bfs(g, 0, "RF/AN", TESTGPU, 2, verify=False)
-        assert engine_mod.PROBE_FACTORY is None
+        assert engine_mod.attached() == ()
         assert len(session.launches) == 1
         assert len(session.graphs) == 1
         assert len(session.probes) == 1

@@ -2,8 +2,8 @@
 
 Bit-identity of flight-recorded runs is pinned per queue variant in
 ``tests/test_simt_determinism.py``; this file covers the recorder's own
-contracts: the bounded ring, the JSON-able snapshot, session hook
-hygiene, the post-mortem round trip, and the structured context every
+contracts: the bounded ring, the JSON-able snapshot, session
+attachment and composition, the post-mortem round trip, and the structured context every
 queue variant now attaches to a capacity abort.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.bfs import run_persistent_bfs
 from repro.core import WavefrontQueueState, make_queue
 from repro.graphs import dataset
+from repro.graphs.generators import roadmap_graph
 from repro.obs.flight import (
     FILL_BUCKETS,
     POSTMORTEM_SCHEMA,
@@ -25,21 +26,23 @@ from repro.obs.flight import (
     render_postmortem,
     write_postmortem,
 )
-from repro.simt import Engine, QueueFullError, TESTGPU, WedgeError
+from repro.obs.session import ProfileSession
+from repro.obs.watchdog import LivenessWatchdog
+from repro.simt import Engine, QueueFullError, TESTGPU, WedgeError, attached
 
 
-def _small_bfs(probe=None):
+def _small_bfs(*observers):
     spec = dataset("Synthetic")
     g = spec.build(spec.default_scale * 0.25)
     return run_persistent_bfs(
-        g, spec.source, "RF/AN", TESTGPU, 4, verify=False, probe=probe
+        g, spec.source, "RF/AN", TESTGPU, 4, verify=False, observers=observers
     )
 
 
 class TestRing:
     def test_ring_is_bounded(self):
         rec = FlightRecorder(ring=32)
-        _small_bfs(probe=rec)
+        _small_bfs(rec)
         # a full BFS emits far more than 32 events; only 32 remain
         assert rec.events.maxlen == 32
         assert len(rec.events) == 32
@@ -47,7 +50,7 @@ class TestRing:
 
     def test_ring_keeps_the_newest_events(self):
         rec = FlightRecorder(ring=16)
-        run = _small_bfs(probe=rec)
+        run = _small_bfs(rec)
         cycles = [ev[0] for ev in rec.events]
         # ring events are recent: all within the launch, newest last
         assert max(cycles) <= run.cycles
@@ -56,7 +59,7 @@ class TestRing:
     def test_progress_signature_advances(self):
         rec = FlightRecorder()
         before = rec.progress_signature()
-        _small_bfs(probe=rec)
+        _small_bfs(rec)
         after = rec.progress_signature()
         assert after != before
         assert rec.deliveries > 0 and rec.exits > 0
@@ -65,7 +68,7 @@ class TestRing:
 class TestSnapshot:
     def test_snapshot_round_trips_through_json(self):
         rec = FlightRecorder(ring=64)
-        run = _small_bfs(probe=rec)
+        run = _small_bfs(rec)
         snap = rec.snapshot()
         again = json.loads(json.dumps(snap))
         assert again["schema"] == snap["schema"]
@@ -98,8 +101,7 @@ class TestFlightSession:
             ) as session:
                 _small_bfs()  # populates session.last
                 raise RuntimeError("boom")
-        assert engine_mod.PROBE_FACTORY is None
-        assert engine_mod.WATCHDOG_FACTORY is None
+        assert engine_mod.attached() == ()
         assert session.postmortem_path is not None
         bundle = load_postmortem(session.postmortem_path)
         assert bundle["error"]["type"] == "RuntimeError"
@@ -118,11 +120,62 @@ class TestFlightSession:
             with pytest.raises(RuntimeError, match="re-entrant"):
                 session.__enter__()
 
+    def test_explicit_watchdog_leaves_no_stale_watchdog(self):
+        # a launch that brings its own watchdog must not leave the
+        # session's behind: a watchdog still bound to an earlier
+        # launch's recorder sees no progress on the next launch and
+        # raises a false WedgeError after three windows.
+        g = roadmap_graph(8, 8, seed=2)
+        window = 1_000
+        with FlightSession(
+            watchdog=True, watchdog_opts={"window": window}
+        ) as session:
+            own = FlightRecorder()
+            run_persistent_bfs(
+                g, 0, "RF/AN", TESTGPU, 4, verify=False,
+                observers=[own, LivenessWatchdog(own, window=10**9)],
+            )
+            run = run_persistent_bfs(
+                g, 0, "RF/AN", TESTGPU, 4, verify=False,
+                observers=[FlightRecorder()],
+            )
+        assert run.cycles > 3 * window  # long enough to have aborted
+        assert session.watchdog_events == []
+        assert session.last.cycles == run.cycles
+
+
+@pytest.mark.parametrize("outer", ["flight", "profile"])
+def test_nested_sessions_each_see_every_launch(outer):
+    g = roadmap_graph(8, 8, seed=2)
+
+    def launches():
+        return [
+            run_persistent_bfs(g, 0, v, TESTGPU, 4, verify=False)
+            for v in ("RF/AN", "BASE")
+        ]
+
+    bare = launches()
+    recorded = []
+    flight = FlightSession(watchdog=True, on_launch_end=recorded.append)
+    prof = ProfileSession(keep_timelines=False)
+    first, second = (flight, prof) if outer == "flight" else (prof, flight)
+    with first, second:
+        runs = launches()
+    assert attached() == ()
+    for a, b in zip(bare, runs):
+        assert a.cycles == b.cycles
+        assert a.stats.snapshot() == b.stats.snapshot()
+    cycles = [r.cycles for r in runs]
+    assert [rec.cycles for rec in recorded] == cycles
+    assert flight.last is recorded[-1]
+    assert flight.watchdog_events == []
+    assert [e["metrics"]["cycles"] for e in prof.launches] == cycles
+
 
 class TestPostmortemBundle:
     def test_queue_full_round_trip(self, tmp_path):
         rec = FlightRecorder()
-        _small_bfs(probe=rec)
+        _small_bfs(rec)
         err = QueueFullError(
             "queue full: queue 'wq' fill 64/64",
             queue="wq", capacity=64, fill=64,

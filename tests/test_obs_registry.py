@@ -112,11 +112,11 @@ class TestMetricsSession:
     def test_session_collects_launches_and_restores_sink(self):
         import repro.simt.engine as engine_mod
 
-        assert engine_mod.METRICS_SINK is None
+        assert engine_mod.attached() == ()
         with MetricsSession() as session:
             Engine(TESTGPU).launch(_tiny_kernel, 2)
             Engine(TESTGPU).launch(_tiny_kernel, 2)
-        assert engine_mod.METRICS_SINK is None
+        assert engine_mod.attached() == ()
         reg = session.registry
         assert reg.total("sim.launches") == 2
         assert reg.value("sim.launches", device="TestGPU") == 2

@@ -36,7 +36,7 @@ def _watched_bfs(window):
     g = spec.build(spec.default_scale * 0.25)
     run = run_persistent_bfs(
         g, spec.source, "RF/AN", TESTGPU, 4, verify=False,
-        probe=rec, watchdog=wd,
+        observers=[rec, wd],
     )
     return run, wd
 
@@ -71,7 +71,7 @@ class TestNoFalsePositives:
         kern = persistent_kernel(q, worker, sched)
         eng.launch(
             kern, 4, params={"max_work_cycles": 500_000},
-            probe=rec, watchdog=wd, max_cycles=10_000_000,
+            observers=[rec, wd], max_cycles=10_000_000,
         )
         assert wd.events == []
 
@@ -103,7 +103,7 @@ class TestPlantedWedge:
         with pytest.raises(WedgeError) as exc_info:
             eng.launch(
                 kern, 4, params={"max_work_cycles": 500_000},
-                probe=rec, controller=ctrl, watchdog=wd,
+                observers=[rec, ctrl, wd],
                 max_cycles=10_000_000,
             )
         return exc_info.value, rec, wd

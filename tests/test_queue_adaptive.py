@@ -177,17 +177,12 @@ class TestAdaptiveObservability:
 
     def test_timeline_probe_streams(self):
         from repro.obs.timeline import TimelineProbe
-
-        from repro.simt import engine as simt_engine
+        from test_simt_engine import FactorySession
 
         probe = TimelineProbe()
-        prev = simt_engine.PROBE_FACTORY
-        simt_engine.PROBE_FACTORY = lambda: probe
-        try:
+        with FactorySession(lambda: probe):
             q = GrowQueue(24, seg_cap=8, pool_segments=3)
             _run(q, "countdown", 20, 6)
-        finally:
-            simt_engine.PROBE_FACTORY = prev
         links = probe.segment_links.get("wq", [])
         releases = probe.segment_releases.get("wq", [])
         assert links and releases

@@ -104,7 +104,7 @@ def test_profiled_run_is_bit_identical_to_unprofiled(variant):
     )
     probe = TimelineProbe()
     profiled = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False, probe=probe
+        g, spec.source, variant, TESTGPU, 4, verify=False, observers=[probe]
     )
     assert plain.cycles == profiled.cycles
     assert plain.stats.snapshot() == profiled.stats.snapshot()
@@ -124,12 +124,12 @@ def test_profile_session_does_not_perturb_or_leak():
     plain = run_persistent_bfs(
         g, spec.source, "RF/AN", TESTGPU, 4, verify=False
     )
-    assert engine_mod.PROBE_FACTORY is None
+    assert engine_mod.attached() == ()
     with ProfileSession(bins=16) as session:
         profiled = run_persistent_bfs(
             g, spec.source, "RF/AN", TESTGPU, 4, verify=False
         )
-    assert engine_mod.PROBE_FACTORY is None  # restored on exit
+    assert engine_mod.attached() == ()  # nothing attached after exit
     assert plain.cycles == profiled.cycles
     assert plain.stats.snapshot() == profiled.stats.snapshot()
     assert len(session.launches) == 1
@@ -137,8 +137,8 @@ def test_profile_session_does_not_perturb_or_leak():
 
 
 def test_metrics_session_does_not_perturb_or_leak():
-    # run-level metrics ride the METRICS_SINK hook, which fires after a
-    # launch's stats are final: metered and bare runs must agree on
+    # run-level metrics ride a launch_end-only observer, which fires
+    # after a launch's stats are final: metered and bare runs must agree on
     # every cycle, counter, and cost.
     import repro.simt.engine as engine_mod
     from repro.obs import MetricsSession
@@ -148,12 +148,12 @@ def test_metrics_session_does_not_perturb_or_leak():
     plain = run_persistent_bfs(
         g, spec.source, "RF/AN", TESTGPU, 4, verify=False
     )
-    assert engine_mod.METRICS_SINK is None
+    assert engine_mod.attached() == ()
     with MetricsSession() as session:
         metered = run_persistent_bfs(
             g, spec.source, "RF/AN", TESTGPU, 4, verify=False
         )
-    assert engine_mod.METRICS_SINK is None  # restored on exit
+    assert engine_mod.attached() == ()  # nothing attached after exit
     assert plain.cycles == metered.cycles
     assert plain.stats.snapshot() == metered.stats.snapshot()
     assert np.array_equal(plain.costs, metered.costs)
@@ -182,7 +182,7 @@ def test_blamed_run_is_bit_identical_to_bare(variant):
     )
     probe = BlameProbe()
     blamed = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False, probe=probe
+        g, spec.source, variant, TESTGPU, 4, verify=False, observers=[probe]
     )
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
@@ -198,7 +198,7 @@ def test_blamed_naive_cas_run_is_bit_identical_to_bare():
     from repro.ext import NaiveCasQueue
     from repro.obs import BlameProbe
 
-    def launch(probe=None):
+    def launch(*observers):
         eng = Engine(TESTGPU)
         sched = SchedulerControl()
         q = NaiveCasQueue(capacity=4096)
@@ -210,13 +210,14 @@ def test_blamed_naive_cas_run_is_bit_identical_to_bare():
 
         kern = persistent_kernel(q, CountdownWorker(), sched)
         res = eng.launch(
-            kern, 6, params={"max_work_cycles": 500_000}, probe=probe
+            kern, 6, params={"max_work_cycles": 500_000},
+            observers=observers,
         )
         return res
 
     plain = launch()
     probe = BlameProbe()
-    blamed = launch(probe=probe)
+    blamed = launch(probe)
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
     assert probe.phase_log
@@ -238,7 +239,7 @@ def test_blamed_sharded_run_is_bit_identical_to_bare():
     probe = BlameProbe()
     blamed = run_persistent_bfs(
         g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
-        queue_factory=factory, capacity=cap, probe=probe,
+        queue_factory=factory, capacity=cap, observers=[probe],
     )
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
@@ -254,12 +255,12 @@ def test_blame_session_does_not_perturb_or_leak():
     plain = run_persistent_bfs(
         g, spec.source, "RF/AN", TESTGPU, 4, verify=False
     )
-    assert engine_mod.PROBE_FACTORY is None
+    assert engine_mod.attached() == ()
     with BlameSession() as session:
         blamed = run_persistent_bfs(
             g, spec.source, "RF/AN", TESTGPU, 4, verify=False
         )
-    assert engine_mod.PROBE_FACTORY is None  # restored on exit
+    assert engine_mod.attached() == ()  # nothing attached after exit
     assert plain.cycles == blamed.cycles
     assert plain.stats.snapshot() == blamed.stats.snapshot()
     assert np.array_equal(plain.costs, blamed.costs)
@@ -282,7 +283,7 @@ def test_flight_recorded_run_is_bit_identical_to_bare(variant):
     )
     rec = FlightRecorder()
     recorded = run_persistent_bfs(
-        g, spec.source, variant, TESTGPU, 4, verify=False, probe=rec
+        g, spec.source, variant, TESTGPU, 4, verify=False, observers=[rec]
     )
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
@@ -298,7 +299,7 @@ def test_flight_recorded_naive_cas_run_is_bit_identical_to_bare():
     from repro.ext import NaiveCasQueue
     from repro.obs import FlightRecorder
 
-    def launch(probe=None):
+    def launch(*observers):
         eng = Engine(TESTGPU)
         sched = SchedulerControl()
         q = NaiveCasQueue(capacity=4096)
@@ -310,12 +311,13 @@ def test_flight_recorded_naive_cas_run_is_bit_identical_to_bare():
 
         kern = persistent_kernel(q, CountdownWorker(), sched)
         return eng.launch(
-            kern, 6, params={"max_work_cycles": 500_000}, probe=probe
+            kern, 6, params={"max_work_cycles": 500_000},
+            observers=observers,
         )
 
     plain = launch()
     rec = FlightRecorder()
-    recorded = launch(probe=rec)
+    recorded = launch(rec)
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
     assert rec.events
@@ -337,7 +339,7 @@ def test_flight_recorded_sharded_run_is_bit_identical_to_bare():
     rec = FlightRecorder()
     recorded = run_persistent_bfs(
         g, spec.source, "SHARDED", TESTGPU, 4, verify=False,
-        queue_factory=factory, capacity=cap, probe=rec,
+        queue_factory=factory, capacity=cap, observers=[rec],
     )
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
@@ -347,10 +349,10 @@ def test_flight_recorded_sharded_run_is_bit_identical_to_bare():
 
 
 def test_flight_session_with_watchdog_does_not_perturb_or_leak():
-    # the full --flight stack: PROBE_FACTORY installs a FlightRecorder
-    # and WATCHDOG_FACTORY attaches a LivenessWatchdog whose polls ride
-    # the engine loop — on a healthy run both must be bit-invisible and
-    # both hooks must be restored on exit.
+    # the full --flight stack: the session gives every launch a
+    # FlightRecorder and a LivenessWatchdog whose polls ride the engine
+    # loop — on a healthy run both must be bit-invisible, and nothing
+    # may stay attached after exit.
     import repro.simt.engine as engine_mod
     from repro.obs import FlightSession
 
@@ -359,14 +361,12 @@ def test_flight_session_with_watchdog_does_not_perturb_or_leak():
     plain = run_persistent_bfs(
         g, spec.source, "RF/AN", TESTGPU, 4, verify=False
     )
-    assert engine_mod.PROBE_FACTORY is None
-    assert engine_mod.WATCHDOG_FACTORY is None
+    assert engine_mod.attached() == ()
     with FlightSession(watchdog=True) as session:
         recorded = run_persistent_bfs(
             g, spec.source, "RF/AN", TESTGPU, 4, verify=False
         )
-    assert engine_mod.PROBE_FACTORY is None  # restored on exit
-    assert engine_mod.WATCHDOG_FACTORY is None
+    assert engine_mod.attached() == ()  # nothing attached after exit
     assert plain.cycles == recorded.cycles
     assert plain.stats.snapshot() == recorded.stats.snapshot()
     assert np.array_equal(plain.costs, recorded.costs)
@@ -379,24 +379,24 @@ def test_flight_session_with_watchdog_does_not_perturb_or_leak():
 @pytest.mark.parametrize("variant", ["BASE", "AN", "RF/AN"])
 def test_controlled_fifo_run_is_bit_identical_to_uncontrolled(variant):
     # the schedule-controller hook (repro.verify) rides the issue
-    # selection point; with an engine-order controller installed the
-    # hook must be bit-invisible: same cycles, counters, and costs.
+    # selection point; with an engine-order controller contributed by an
+    # attached session the hook must be bit-invisible: same cycles,
+    # counters, and costs.
     import repro.simt.engine as engine_mod
     from repro.verify.schedule import FifoController
+    from test_simt_engine import FactorySession
 
     spec = dataset("Synthetic")
     g = spec.build(spec.default_scale * 0.25)
     plain = run_persistent_bfs(
         g, spec.source, variant, TESTGPU, 4, verify=False
     )
-    assert engine_mod.CONTROLLER_FACTORY is None
-    try:
-        engine_mod.CONTROLLER_FACTORY = FifoController
+    assert engine_mod.attached() == ()
+    with FactorySession(FifoController):
         controlled = run_persistent_bfs(
             g, spec.source, variant, TESTGPU, 4, verify=False
         )
-    finally:
-        engine_mod.CONTROLLER_FACTORY = None
+    assert engine_mod.attached() == ()
     assert plain.cycles == controlled.cycles
     assert plain.stats.snapshot() == controlled.stats.snapshot()
     assert np.array_equal(plain.costs, controlled.costs)

@@ -16,9 +16,23 @@ from repro.simt import (
     LocalOp,
     MemRead,
     MemWrite,
+    Probe,
+    Session,
     SimulationTimeout,
+    attached,
     transactions_for,
 )
+from repro.simt.probe import ProbeFanout
+
+
+class FactorySession(Session):
+    """Contributes ``factory()`` to every launch while attached."""
+
+    def __init__(self, factory):
+        self.factory = factory
+
+    def observers(self):
+        return [self.factory()]
 
 
 class TestTransactionsFor:
@@ -363,3 +377,165 @@ class TestControlFlow:
         engine.launch(kernel, 3, params={"x": 42})
         assert seen["x"] == 42
         assert seen["n"] == 3
+
+
+def _compute_kernel(ctx):
+    yield Compute(10)
+    yield Compute(5)
+
+
+class _Issues(Probe):
+    def __init__(self):
+        self.issues = []
+
+    def on_issue(self, cycle, cu, wf, kind, end, trans):
+        self.issues.append((cycle, wf, self.now))
+
+
+class _Exits(Probe):
+    def __init__(self):
+        self.exits = []
+
+    def on_exit(self, cycle, wf):
+        self.exits.append((cycle, wf, self.cur_wf))
+
+
+class _Ends:
+    """A launch_begin/launch_end-only observer."""
+
+    def __init__(self):
+        self.calls = []
+
+    def launch_begin(self, device, n_wavefronts):
+        self.calls.append(("begin", n_wavefronts))
+
+    def launch_end(self, cycles, stats):
+        self.calls.append(("end", cycles))
+
+
+class _SeeProbe:
+    """Records the kernel-side probe of each wavefront."""
+
+    def __init__(self):
+        self.seen = []
+
+    def kernel(self, ctx):
+        self.seen.append(ctx.probe)
+        yield Compute(10)
+
+
+class _Controller:
+    def launch_begin(self, device, n_wavefronts):
+        pass
+
+    def pick(self, now, cid, ready):
+        return 0
+
+
+class _Watchdog:
+    def __init__(self, every):
+        self.every = every
+        self.polls = []
+
+    def launch_begin(self, device, n_wavefronts):
+        return self.every
+
+    def poll(self, now, live):
+        self.polls.append(now)
+        return now + self.every
+
+
+class TestObservers:
+    def test_no_probe_observer_leaves_the_probe_off(self, engine):
+        see, ends = _SeeProbe(), _Ends()
+        res = engine.launch(see.kernel, 2, observers=[ends])
+        assert see.seen == [None, None]
+        assert ends.calls == [("begin", 2), ("end", res.cycles)]
+
+    def test_single_probe_is_used_as_is(self, engine):
+        see, probe = _SeeProbe(), _Issues()
+        engine.launch(see.kernel, 2, observers=[probe])
+        assert all(p is probe for p in see.seen)
+
+    def test_fanout_binds_each_callback_to_its_overriders(self):
+        issues, exits = _Issues(), _Exits()
+        fan = ProbeFanout([issues, exits])
+        assert fan.on_issue == issues.on_issue
+        assert fan.on_exit == exits.on_exit
+        # a callback nobody overrides stays the inherited no-op
+        assert "on_wake" not in vars(fan)
+
+    def test_fanout_reaches_every_child(self, engine):
+        issues, exits, ends = _Issues(), _Exits(), _Ends()
+        res = engine.launch(
+            _compute_kernel, 3, observers=[issues, exits, ends]
+        )
+        assert len(issues.issues) == res.stats.issued_ops
+        # now/cur_wf are forwarded to every child before its callback
+        assert all(c == now for c, _, now in issues.issues)
+        assert sorted(wf for _, wf, _ in exits.exits) == [0, 1, 2]
+        assert all(wf == cur for _, wf, cur in exits.exits)
+        assert ends.calls[-1] == ("end", res.cycles)
+
+    def test_observers_do_not_perturb(self, testgpu):
+        bare = Engine(testgpu).launch(_compute_kernel, 3)
+        seen = Engine(testgpu).launch(
+            _compute_kernel, 3,
+            observers=[_Issues(), _Exits(), _Ends(), _Controller()],
+        )
+        assert bare.cycles == seen.cycles
+        assert bare.stats.snapshot() == seen.stats.snapshot()
+
+    def test_two_controllers_rejected(self, engine):
+        with pytest.raises(LaunchConfigError, match="controller"):
+            engine.launch(
+                _compute_kernel, 1, observers=[_Controller(), _Controller()]
+            )
+
+    def test_watchdogs_each_keep_their_cadence(self, engine):
+        def spin(ctx):
+            for _ in range(40):
+                yield Compute(10)
+
+        fast, slow = _Watchdog(50), _Watchdog(120)
+        engine.launch(spin, 1, observers=[fast, slow])
+        assert fast.polls and slow.polls
+        assert all(b - a >= 50 for a, b in zip(fast.polls, fast.polls[1:]))
+        assert all(b - a >= 120 for a, b in zip(slow.polls, slow.polls[1:]))
+        assert len(fast.polls) > len(slow.polls)
+
+
+class TestSessions:
+    def test_session_observers_join_every_launch(self, testgpu):
+        made = []
+
+        def factory():
+            made.append(_Ends())
+            return made[-1]
+
+        with FactorySession(factory):
+            Engine(testgpu).launch(_compute_kernel, 1)
+            Engine(testgpu).launch(_compute_kernel, 2)
+        Engine(testgpu).launch(_compute_kernel, 1)
+        assert [m.calls[0] for m in made] == [("begin", 1), ("begin", 2)]
+
+    def test_sessions_nest_and_leave_by_identity(self):
+        a, b = FactorySession(_Ends), FactorySession(_Ends)
+        a.__enter__()
+        b.__enter__()
+        assert attached() == (a, b)
+        a.__exit__(None, None, None)  # out of order: b stays attached
+        assert attached() == (b,)
+        b.__exit__(None, None, None)
+        assert attached() == ()
+
+    def test_not_reentrant(self):
+        session = FactorySession(_Ends)
+        with session:
+            with pytest.raises(RuntimeError, match="re-entrant"):
+                session.__enter__()
+        assert attached() == ()
+
+    def test_exit_without_enter_raises(self):
+        with pytest.raises(RuntimeError, match="without being entered"):
+            FactorySession(_Ends).__exit__(None, None, None)

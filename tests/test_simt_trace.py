@@ -107,7 +107,7 @@ class TestTracerCycles:
         eng.memory.alloc("buf", 64)
         eng.memory.alloc("ctr", 1)
         tracer = Tracer()
-        res = eng.launch(tracer.wrap(demo_kernel), 2, probe=tracer)
+        res = eng.launch(tracer.wrap(demo_kernel), 2, observers=[tracer])
         cycles = [e.cycle for e in tracer.events]
         assert all(c >= 0 for c in cycles)
         assert cycles == sorted(cycles)  # engine issues in time order
@@ -120,7 +120,7 @@ class TestTracerCycles:
         eng.memory.alloc("buf", 64)
         eng.memory.alloc("ctr", 1)
         tracer = Tracer()
-        eng.launch(tracer.wrap(demo_kernel), 1, probe=tracer)
+        eng.launch(tracer.wrap(demo_kernel), 1, observers=[tracer])
         by_kind = {e.kind: e.lanes for e in tracer.events}
         assert by_kind["Compute"] == testgpu.wavefront_size
         assert by_kind["MemRead"] == testgpu.wavefront_size  # per-lane index
@@ -139,7 +139,7 @@ class TestTracerCycles:
         eng.memory.alloc("buf", 64)
         eng.memory.alloc("ctr", 1)
         timed = Tracer()
-        eng.launch(timed.wrap(demo_kernel), 1, probe=timed)
+        eng.launch(timed.wrap(demo_kernel), 1, observers=[timed])
         assert "cycle" in timed.render()
 
         untimed = Tracer()
@@ -167,7 +167,7 @@ class TestTracerCycles:
             tracer = Tracer()
             res = eng.launch(
                 tracer.wrap(demo_kernel), 3,
-                probe=tracer if probed else None,
+                observers=[tracer] if probed else [],
             )
             return res.cycles, res.stats.snapshot(), int(eng.memory["ctr"][0])
 

@@ -16,6 +16,7 @@ from repro.core import SchedulerControl, make_queue, persistent_kernel
 from repro.core.scheduler import K_TASKS_DONE
 from repro.simt import TESTGPU, Engine
 from repro.verify import workloads
+from test_simt_engine import FactorySession
 from repro.verify.schedule import (
     DelayWavefrontController,
     FifoController,
@@ -38,7 +39,8 @@ def _run(controller=None, scale=12, n_wf=6):
     sched.seed(eng.memory, len(seeds))
     kern = persistent_kernel(q, worker, sched)
     res = eng.launch(
-        kern, n_wf, params={"max_work_cycles": 20_000}, controller=controller
+        kern, n_wf, params={"max_work_cycles": 20_000},
+        observers=[] if controller is None else [controller],
     )
     snap = {name: eng.memory[name].copy() for name in (q.buf_ctrl, q.buf_data)}
     return res, snap, expected
@@ -55,12 +57,10 @@ class TestBitIdentity:
 
     def test_controller_factory_hook_is_bit_identical_and_scoped(self):
         plain, mem_plain, _ = _run()
-        assert engine_mod.CONTROLLER_FACTORY is None
-        try:
-            engine_mod.CONTROLLER_FACTORY = FifoController
+        assert engine_mod.attached() == ()
+        with FactorySession(FifoController):
             hooked, mem_hooked, _ = _run()
-        finally:
-            engine_mod.CONTROLLER_FACTORY = None
+        assert engine_mod.attached() == ()
         assert plain.cycles == hooked.cycles
         assert plain.stats.snapshot() == hooked.stats.snapshot()
         for name in mem_plain:
