@@ -383,8 +383,8 @@ class GrowQueue(RetryFreeQueue):
     ) -> Generator[Op, Op, None]:
         custom = ctx.stats.custom
         probe = ctx.probe
-        if probe is not None:
-            probe.queue_register(self.prefix, self.capacity, self.variant)
+        if probe is not None and self._registered is not ctx.stats:
+            self._register(ctx)
 
         # --- slot reservation: identical to RF/AN ----------------------
         n_hungry = st.wavefront_size - st.n_token - st.n_watching

@@ -82,6 +82,9 @@ class DeviceQueue(abc.ABC):
     retry_free: bool = False
     #: whether the variant has the arbitrary-n property.
     arbitrary_n: bool = False
+    #: the launch (its ``SimStats``) this queue last registered with a
+    #: probe in; see :meth:`_probe`.  Starts as a marker no launch is.
+    _registered: object = object()
 
     def __init__(self, capacity: int, prefix: str = "wq", circular: bool = False):
         if capacity <= 0:
@@ -185,14 +188,20 @@ class DeviceQueue(abc.ABC):
     def _probe(self, ctx: KernelContext) -> Optional[object]:
         """The launch's observability probe (None almost always).
 
-        Registers this queue on first sight so exporters know its
+        Registers this queue once per launch so exporters know its
         capacity/variant.  Probes are passive: nothing on this path may
         touch stats, memory, or op scheduling.
         """
         probe = ctx.probe
-        if probe is not None:
-            probe.queue_register(self.prefix, self.capacity, self.variant)
+        if probe is not None and self._registered is not ctx.stats:
+            self._register(ctx)
         return probe
+
+    def _register(self, ctx: KernelContext) -> None:
+        """Declare this queue to the launch's probe (``ctx.stats`` is
+        per launch, so it marks the launch already registered with)."""
+        self._registered = ctx.stats
+        ctx.probe.queue_register(self.prefix, self.capacity, self.variant)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -67,8 +67,8 @@ class RetryFreeQueue(DeviceQueue):
     ) -> Generator[Op, Op, None]:
         custom = ctx.stats.custom
         probe = ctx.probe
-        if probe is not None:
-            probe.queue_register(self.prefix, self.capacity, self.variant)
+        if probe is not None and self._registered is not ctx.stats:
+            self._register(ctx)
 
         # --- Listing 1: slot reservation for newly hungry lanes --------
         n_hungry = st.wavefront_size - st.n_token - st.n_watching

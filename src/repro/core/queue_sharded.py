@@ -28,7 +28,9 @@ the thief *transfers a batch*:
 
 1. read the victim's ``(Front, Rear)``; ``avail = Rear - Front`` is the
    stealable surplus (tokens enqueued but not yet dequeue-reserved) —
-   if none, try the next victim on the next work cycle;
+   if none, try the next victim on the next work cycle.  Each wavefront
+   re-yields one cached read per victim, so the engine elides the
+   probe while the victim's control words are untouched;
 2. claim ``m = min(steal_quantum, avail)`` entries with one **CAS** on
    the victim's ``Front`` (the only non-retry-free step, and it is not
    retried: a lost race just means somebody else made progress);
@@ -58,7 +60,9 @@ bit-identical to the bare inner variant (pinned by
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, Iterable, List, Optional, Type
+from functools import partial
+from itertools import cycle
+from typing import Dict, Generator, Iterable, List, Type
 
 import numpy as np
 
@@ -104,6 +108,47 @@ INNER_VARIANTS: Dict[str, Type[DeviceQueue]] = {
 def shard_key(shard: int, name: str) -> str:
     """Per-shard custom-counter key (``queue.shard<i>.<name>``)."""
     return f"queue.shard{shard}.{name}"
+
+
+#: the (Front, Rear) index pair of a victim probe, shared and frozen so
+#: the engine caches its span once per launch.
+_CTRL_IDX = np.array([FRONT, REAR], dtype=np.int64)
+_CTRL_IDX.setflags(write=False)
+
+
+class _Thief:
+    """Per-wavefront steal state of a multi-shard queue.
+
+    ``ctrl[i]`` is this wavefront's victim probe of shard ``i``: one
+    prechecked control read re-yielded at every attempt, so the engine
+    elides re-samples while the victim's control words are untouched
+    (``result`` then still holds the exact previous sample).
+    """
+
+    __slots__ = ("home", "home_q", "home_acquire", "k_granted", "spin",
+                 "next_victim", "ctrl")
+
+    def __init__(self, queue: "ShardedQueue", wf_id: int):
+        n = queue.n_shards
+        self.home = home = wf_id % n
+        self.home_q = queue.shards[home]
+        self.home_acquire = self.home_q.acquire
+        self.k_granted = queue._k_granted[home]
+        #: idle work cycles on home; steals start once it reaches
+        #: ``spin_threshold`` and it resets when tokens arrive.
+        self.spin = 0
+        # every shard but home, in order; picked round-robin or by a
+        # seeded per-wavefront PRNG (``choice`` draws as ``randrange``)
+        victims = [(home + 1 + off) % n for off in range(n - 1)]
+        if queue.victim == "random":
+            rng = random.Random(queue.victim_seed * 1_000_003 + wf_id)
+            self.next_victim = partial(rng.choice, victims)
+        else:
+            self.next_victim = cycle(victims).__next__
+        self.ctrl = [
+            MemRead(sh.buf_ctrl, _CTRL_IDX, trans=1, prechecked=True)
+            for sh in queue.shards
+        ]
 
 
 class ShardedQueue(DeviceQueue):
@@ -200,10 +245,9 @@ class ShardedQueue(DeviceQueue):
             )
             for i in range(self.n_shards)
         ]
-        #: per-wavefront steal state (spin counter, victim cursor/rng),
-        #: reset at every allocate() so one queue object can serve
-        #: successive launches.
-        self._wf: Dict[int, dict] = {}
+        #: per-wavefront steal state (:class:`_Thief`), reset at every
+        #: allocate() so one queue object can serve successive launches.
+        self._wf: Dict[int, _Thief] = {}
         #: per-shard counter keys, precomputed so the per-work-cycle hot
         #: path never pays an f-string format.
         self._k_granted = [shard_key(i, "granted") for i in range(self.n_shards)]
@@ -254,29 +298,10 @@ class ShardedQueue(DeviceQueue):
     # ------------------------------------------------------------------
     # kernel side
     # ------------------------------------------------------------------
-    def _home(self, ctx: KernelContext) -> int:
-        return ctx.wf_id % self.n_shards
-
-    def _wf_state(self, ctx: KernelContext) -> dict:
-        wf = self._wf.get(ctx.wf_id)
-        if wf is None:
-            wf = {"spin": 0, "cursor": 0}
-            if self.victim == "random":
-                wf["rng"] = random.Random(
-                    self.victim_seed * 1_000_003 + ctx.wf_id
-                )
-            self._wf[ctx.wf_id] = wf
-        return wf
-
-    def _next_victim(self, home: int, wf: dict) -> int:
-        """Pick a victim shard != home (deterministic per wavefront)."""
-        n_other = self.n_shards - 1
-        if self.victim == "random":
-            off = wf["rng"].randrange(n_other)
-        else:
-            off = wf["cursor"]
-            wf["cursor"] = (off + 1) % n_other
-        return (home + 1 + off) % self.n_shards
+    def _thief(self, wf_id: int) -> _Thief:
+        """The per-wavefront steal state, created on first use."""
+        th = self._wf[wf_id] = _Thief(self, wf_id)
+        return th
 
     def acquire(
         self, ctx: KernelContext, st: WavefrontQueueState
@@ -284,25 +309,57 @@ class ShardedQueue(DeviceQueue):
         if self.n_shards == 1:
             yield from self.shards[0].acquire(ctx, st)
             return
-        home = ctx.wf_id % self.n_shards
+        th = self._wf.get(ctx.wf_id)
+        if th is None:
+            th = self._thief(ctx.wf_id)
         before = st.n_token
-        yield from self.shards[home].acquire(ctx, st)
+        yield from th.home_acquire(ctx, st)
         got = st.n_token - before
         if got:
-            ctx.stats.custom[self._k_granted[home]] += got
-        if not self.steal or st.n_watching == 0:
+            ctx.stats.custom[th.k_granted] += got
+            if self.steal and st.n_watching:
+                th.spin = 0
             return
-        wf = self._wf.get(ctx.wf_id)
-        if wf is None:
-            wf = self._wf_state(ctx)
-        if got:
-            wf["spin"] = 0
+        if not self.steal or not st.n_watching:
             return
-        spin = wf["spin"] + 1
-        wf["spin"] = spin
-        if spin <= self.spin_threshold:
+        spin = th.spin
+        if spin < self.spin_threshold:
+            # parked lanes, nothing arrived: spin on home a while longer
+            th.spin = spin + 1
             return
-        yield from self._steal(ctx, home, wf)
+
+        # one steal attempt per work cycle, on a victim != home
+        # (deterministic per wavefront).
+        victim_idx = th.next_victim()
+        custom = ctx.stats.custom
+        custom[K_STEAL_ATTEMPTS] += 1
+        probe = ctx.probe
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "steal", self.shards[victim_idx].prefix)
+
+        # 1. sample the victim's surplus with this wavefront's cached
+        #    control read.  An elided re-sample (ctrl.fresh False) repeats
+        #    this wavefront's previous sample of the victim, which found
+        #    no surplus: a claim attempt moves the victim's Front (a lost
+        #    one means Front had already moved), so the sample after one
+        #    is always fresh.
+        ctrl = th.ctrl[victim_idx]
+        yield ctrl
+        if ctrl.fresh:
+            res = ctrl.result
+            front = int(res[0])
+            avail = int(res[1]) - front
+            v = self.shards[victim_idx]
+            if not v.circular:
+                # monotonic shards: slots at or beyond capacity never
+                # receive data, so never claim them (the publisher aborts
+                # first).
+                avail = min(avail, v.capacity - front)
+            if avail > 0:
+                yield from self._steal(ctx, th, victim_idx, front, avail)
+                return
+        custom[K_STEAL_EMPTY] += 1
+        custom[self._k_steal_empty[victim_idx]] += 1
 
     def publish(
         self,
@@ -324,31 +381,16 @@ class ShardedQueue(DeviceQueue):
     # the steal path
     # ------------------------------------------------------------------
     def _steal(
-        self, ctx: KernelContext, home: int, wf: dict
+        self, ctx: KernelContext, th: _Thief, victim_idx: int, front: int,
+        avail: int,
     ) -> Generator[Op, Op, None]:
-        """One transfer attempt: victim probe, CAS claim, poll, republish."""
+        """Transfer up to ``avail`` tokens the victim probe found: CAS
+        claim, poll, republish."""
         custom = ctx.stats.custom
-        victim_idx = self._next_victim(home, wf)
-        v = self.shards[victim_idx]
-        h = self.shards[home]
-        custom[K_STEAL_ATTEMPTS] += 1
         probe = ctx.probe
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "steal", v.prefix)
-
-        # 1. sample the victim's surplus.
-        ctrl = v._read_ctrl()
-        yield ctrl
-        front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-        avail = rear - front
-        if not v.circular:
-            # monotonic shards: slots at or beyond capacity never receive
-            # data, so never claim them (the publisher aborts first).
-            avail = min(avail, v.capacity - front)
-        if avail <= 0:
-            custom[K_STEAL_EMPTY] += 1
-            custom[self._k_steal_empty[victim_idx]] += 1
-            return
+        home = th.home
+        v = self.shards[victim_idx]
+        h = th.home_q
         m = min(self.steal_quantum, avail)
 
         # 2. claim [front, front+m) with one CAS on the victim's Front.
@@ -401,7 +443,7 @@ class ShardedQueue(DeviceQueue):
         custom[K_STEAL_TOKENS] += m
         custom[self._k_steal_out[victim_idx]] += m
         custom[self._k_steal_in[home]] += m
-        wf["spin"] = 0
+        th.spin = 0
 
     def _republish(
         self,
@@ -422,6 +464,7 @@ class ShardedQueue(DeviceQueue):
         custom = ctx.stats.custom
         probe = ctx.probe
         m = int(tokens.size)
+        home = ctx.wf_id % self.n_shards
 
         op = AtomicRMW(h.buf_ctrl, REAR, AtomicKind.ADD, m)
         yield op

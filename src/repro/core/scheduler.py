@@ -51,6 +51,8 @@ from repro.simt import (
     MemWrite,
     Op,
 )
+from repro.simt.probe import overridden
+
 from .constants import DEFAULT_SUBTASKS_PER_CYCLE, DONE, PENDING
 from .queue_api import DeviceQueue
 from .state import WavefrontQueueState
@@ -180,6 +182,8 @@ def persistent_kernel(
         dread = MemRead(sched.buf_ctrl, done_idx, trans=1, prechecked=True)
         custom = stats.custom
         probe = ctx.probe
+        # skip the per-acquire call when no probe records token counts
+        sched_tokens = overridden(probe, "sched_tokens")
         # per-cycle counters accumulate in locals and flush in the finally
         # block (the engine closes kernel generators at launch teardown,
         # so the flush also runs for aborted or timed-out launches).
@@ -204,8 +208,8 @@ def persistent_kernel(
                 # 2. GetWorkToken() for hungry lanes.
                 yield from queue.acquire(ctx, st)
                 idle_lanes += wf_size - st.n_token
-                if probe is not None:
-                    probe.sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
+                if sched_tokens is not None:
+                    sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
                 if st.n_token == 0:
                     continue
 
@@ -332,6 +336,8 @@ def sharded_persistent_kernel(
         done_idx = np.array([DONE], dtype=np.int64)
         dread = MemRead(sched.buf_ctrl, done_idx, trans=1, prechecked=True)
         probe = ctx.probe
+        # skip the per-acquire call when no probe records token counts
+        sched_tokens = overridden(probe, "sched_tokens")
         # per-cycle counters accumulate in locals and flush in the finally
         # block (the engine closes kernel generators at launch teardown,
         # so the flush also runs for aborted or timed-out launches).
@@ -354,8 +360,8 @@ def sharded_persistent_kernel(
 
                 yield from queue.acquire(ctx, st)
                 idle_lanes += wf_size - st.n_token
-                if probe is not None:
-                    probe.sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
+                if sched_tokens is not None:
+                    sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
                 if st.n_token == 0:
                     continue
 

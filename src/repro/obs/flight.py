@@ -5,13 +5,16 @@ ledger — is written *after* a run completes; a launch that aborts on
 :class:`~repro.simt.errors.QueueFullError` or wedges leaves nothing
 behind but a message.  The flight recorder is the black box: a
 :class:`~repro.simt.probe.Probe` that keeps only a **bounded** window
-of recent history (a ``collections.deque(maxlen=K)`` ring of engine /
-queue / atomic events) plus O(queues + CUs + wavefronts) live state —
-per-queue fill and fill histogram, per-CU last issue, per-wavefront
-current phase, and monotonic progress counters.  Memory is constant no
-matter how long the launch runs, so it can stay attached to every
-launch of a multi-hour harness run (its measured overhead is gated by
-``tools/bench_engine.py --guard``; see docs/observability.md).
+of recent history (a ``collections.deque(maxlen=K)`` ring of queue /
+atomic / phase / exit events) plus O(queues + CUs + wavefronts) live
+state — per-queue fill and fill histogram, per-wavefront current
+phase, and monotonic progress counters.  Per-CU and per-wavefront last
+issue and the issue count are not recorded per op: they are read from
+the engine's :class:`~repro.simt.engine.IssueView` when a snapshot is
+taken.  Memory is constant no matter how long the launch runs, so it
+can stay attached to every launch of a multi-hour harness run (its
+measured overhead is gated by ``tools/bench_engine.py --guard``; see
+docs/observability.md).
 
 Three consumers read the recorder:
 
@@ -37,15 +40,19 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from repro.simt.engine import OP_KIND_NAMES, Session
+from repro.simt.engine import IssueView, Session
 from repro.simt.probe import Probe
 
 from .blame import COMPUTE, OTHER, _PHASE_CLASS
 
 #: schema version of :meth:`FlightRecorder.snapshot` and the
 #: ``postmortem.json`` bundle built from it (bump on layout changes).
-FLIGHT_SCHEMA = 1
-POSTMORTEM_SCHEMA = 1
+#: Schema 2 dropped the ring's ``issue``/``wake`` events and
+#: ``progress.wakes``.
+FLIGHT_SCHEMA = 2
+POSTMORTEM_SCHEMA = 2
+#: bundle schemas :func:`load_postmortem` still reads.
+POSTMORTEM_SCHEMAS_READ = (1, 2)
 
 #: number of fill-histogram buckets per queue (bucket i counts samples
 #: with ``fill/capacity`` in ``[i/8, (i+1)/8)``; the last is open).
@@ -68,20 +75,22 @@ class FlightRecorder(Probe):
     def __init__(self, ring: int = DEFAULT_RING):
         self.ring_size = int(ring)
         #: unified last-K ring: tuples ``(cycle, kind, ...)`` where
-        #: kind is one of issue/wake/exit/atomic/instant/reserve/
-        #: steal/phase/abort.
+        #: kind is one of exit/atomic/instant/reserve/steal/phase/
+        #: done_flag.
         self.events: deque = deque(maxlen=self.ring_size)
         #: per-queue live state, keyed by buffer prefix.
         self.queues: Dict[str, Dict] = {}
-        #: per-CU last issue: cid -> (cycle, wf, op-kind name).
-        self.cus: Dict[int, tuple] = {}
-        #: per-wavefront current phase: wf -> (phase, detail).
+        #: per-wavefront latest phase mark: wf -> its ring event
+        #: ``(cycle, "phase", wf, phase, detail)``.
         self.wf_phases: Dict[int, tuple] = {}
-        self.wf_last_issue: Dict[int, int] = {}
         self.exited: set = set()
+        #: the running launch's issue state (None outside a launch).
+        self._view: Optional[IssueView] = None
+        # issue state frozen at the end of the previous launch
+        self._issues = 0
+        self._cus: Dict[int, tuple] = {}
+        self._wf_last_issue: Dict[int, int] = {}
         # monotonic progress counters (the watchdog's liveness signal)
-        self.issues = 0
-        self.wakes = 0
         self.exits = 0
         self.atomics = 0
         self.cas_failures = 0
@@ -106,31 +115,52 @@ class FlightRecorder(Probe):
     # engine callbacks
     # ------------------------------------------------------------------
     def launch_begin(self, device, n_wavefronts: int) -> None:
+        self._freeze()  # a previous launch that aborted
         self.device_name = device.name
         self.n_wavefronts = n_wavefronts
         self.launches += 1
         self.finished = False
-        self.cus.clear()
+        self._cus = {}
+        self._wf_last_issue = {}
         self.wf_phases.clear()
-        self.wf_last_issue.clear()
         self.exited.clear()
 
+    def track_issues(self, view: IssueView) -> None:
+        self._view = view
+
     def launch_end(self, cycles: int, stats) -> None:
+        self._freeze()
         self.cycles = cycles
         self.finished = True
         if self.on_end is not None:
             self.on_end(self)
 
-    def on_issue(self, cycle, cu, wf, kind, end, trans) -> None:
-        self.issues += 1
-        name = OP_KIND_NAMES.get(kind, "?")
-        self.cus[cu] = (cycle, wf, name)
-        self.wf_last_issue[wf] = cycle
-        self.events.append((cycle, "issue", cu, wf, name))
+    def _freeze(self) -> None:
+        """Copy the launch's issue state out of the engine's view."""
+        view = self._view
+        if view is not None:
+            self._view = None
+            self._issues += view.issues()
+            self._cus = view.cu_last_issue()
+            self._wf_last_issue = view.wf_last_issue()
 
-    def on_wake(self, cycle, wf) -> None:
-        self.wakes += 1
-        self.events.append((cycle, "wake", wf))
+    @property
+    def issues(self) -> int:
+        """Ops issued under this recorder, over all its launches."""
+        view = self._view
+        return self._issues + (view.issues() if view is not None else 0)
+
+    @property
+    def cus(self) -> Dict[int, tuple]:
+        """Per-CU last issue: cid -> (cycle, wf, op-kind name)."""
+        view = self._view
+        return view.cu_last_issue() if view is not None else self._cus
+
+    @property
+    def wf_last_issue(self) -> Dict[int, int]:
+        """Per-wavefront last issue cycle (wavefronts that issued)."""
+        view = self._view
+        return view.wf_last_issue() if view is not None else self._wf_last_issue
 
     def on_exit(self, cycle, wf) -> None:
         self.exits += 1
@@ -233,11 +263,12 @@ class FlightRecorder(Probe):
         self.events.append((cycle, "done_flag", wf))
 
     def wf_phase(self, wf, phase, detail="") -> None:
-        self.wf_phases[wf] = (phase, detail)
+        # one tuple serves as the ring event and the wavefront's mark
+        ev = self.wf_phases[wf] = (self.now, "phase", wf, phase, detail)
+        self.events.append(ev)
         if phase == "work":
             self.work_marks += 1
-            self.last_work = self.now
-        self.events.append((self.now, "phase", wf, phase, detail))
+            self.last_work = ev[0]
 
     # ------------------------------------------------------------------
     # watchdog / telemetry queries
@@ -271,13 +302,14 @@ class FlightRecorder(Probe):
         :data:`~repro.obs.blame.OTHER`.
         """
         hist: Dict[str, int] = {}
+        issued = self.wf_last_issue
         for wf in range(self.n_wavefronts):
             if wf in self.exited:
                 continue
             marked = self.wf_phases.get(wf)
             if marked is not None:
-                cls = _PHASE_CLASS.get(marked[0], OTHER)
-            elif wf not in self.wf_last_issue:
+                cls = _PHASE_CLASS.get(marked[3], OTHER)
+            elif wf not in issued:
                 cls = "cu_occupancy"
             else:
                 cls = OTHER
@@ -326,13 +358,12 @@ class FlightRecorder(Probe):
                 for cid, (c, wf, op) in sorted(self.cus.items())
             },
             "wf_phases": {
-                str(wf): [phase, detail]
-                for wf, (phase, detail) in sorted(self.wf_phases.items())
+                str(wf): [ev[3], ev[4]]
+                for wf, ev in sorted(self.wf_phases.items())
             },
             "stall_classes": self.stall_classes(),
             "progress": {
                 "issues": self.issues,
-                "wakes": self.wakes,
                 "exits": self.exits,
                 "atomics": self.atomics,
                 "cas_failures": self.cas_failures,
@@ -513,10 +544,11 @@ def load_postmortem(path: str) -> Dict:
     with open(path) as fh:
         bundle = json.load(fh)
     schema = bundle.get("schema")
-    if schema != POSTMORTEM_SCHEMA:
+    if schema not in POSTMORTEM_SCHEMAS_READ:
         raise ValueError(
             f"unsupported postmortem schema {schema!r} "
-            f"(this build reads schema {POSTMORTEM_SCHEMA})"
+            f"(this build reads schemas "
+            f"{', '.join(map(str, POSTMORTEM_SCHEMAS_READ))})"
         )
     return bundle
 

@@ -84,7 +84,7 @@ from .errors import (
 )
 from .memory import GlobalMemory
 from .ops import Abort, AtomicRMW, Compute, Fence, LocalOp, MemRead, MemWrite, Op
-from .probe import Probe, ProbeFanout
+from .probe import Probe, ProbeFanout, overridden
 from .stats import SimStats
 
 #: segment size (in 8-byte words) used by the coalescing model: lanes whose
@@ -191,7 +191,8 @@ Kernel = Callable[[KernelContext], Generator[Op, Op, None]]
 class _Wavefront:
     """Engine-internal record for one resident wavefront."""
 
-    __slots__ = ("wid", "cu", "gen", "pending", "pkind")
+    __slots__ = ("wid", "cu", "gen", "pending", "pkind", "last_issue",
+                 "last_kind")
 
     def __init__(self, wid: int, cu: "_CU", gen: Generator[Op, Op, None]):
         self.wid = wid
@@ -201,12 +202,16 @@ class _Wavefront:
         #: dispatch id of `pending`, cached at issue so completion
         #: handlers skip the class lookup.
         self.pkind = 0
+        #: cycle and op-kind id of the latest issue (-1: never issued);
+        #: only maintained while an :class:`IssueView` is tracked.
+        self.last_issue = -1
+        self.last_kind = 0
 
 
 class _CU:
     """Engine-internal compute unit: an issue pipe plus a ready queue."""
 
-    __slots__ = ("cid", "busy_until", "ready", "wake")
+    __slots__ = ("cid", "busy_until", "ready", "wake", "issues", "last_wf")
 
     def __init__(self, cid: int):
         self.cid = cid
@@ -214,6 +219,47 @@ class _CU:
         self.ready = deque()
         #: reserved-but-unpushed CU_FREE sequence number (-1: none).
         self.wake = -1
+        #: ops issued and the wavefront that issued the latest one; only
+        #: maintained while an :class:`IssueView` is tracked.
+        self.issues = 0
+        self.last_wf: Optional[_Wavefront] = None
+
+
+class IssueView:
+    """Read-only issue state of one running launch.
+
+    An observer with a ``track_issues(view)`` method receives one of
+    these per launch and reads it when it needs the numbers (a snapshot,
+    a liveness poll), instead of taking an ``on_issue`` call for every
+    op.  The engine keeps it current from the first issue on; after the
+    launch it holds the final values.
+    """
+
+    __slots__ = ("_cus", "_wfs")
+
+    def __init__(self, cus: List[_CU], wfs: List[_Wavefront]):
+        self._cus = cus
+        self._wfs = wfs
+
+    def issues(self) -> int:
+        """Ops issued so far (``Abort`` excluded)."""
+        return sum(cu.issues for cu in self._cus)
+
+    def cu_last_issue(self) -> Dict[int, tuple]:
+        """CU id -> ``(cycle, wf, op-kind name)`` of its latest issue."""
+        return {
+            cu.cid: (
+                cu.last_wf.last_issue,
+                cu.last_wf.wid,
+                OP_KIND_NAMES[cu.last_wf.last_kind],
+            )
+            for cu in self._cus
+            if cu.last_wf is not None
+        }
+
+    def wf_last_issue(self) -> Dict[int, int]:
+        """Wavefront id -> cycle of its latest issue (issued ones only)."""
+        return {wf.wid: wf.last_issue for wf in self._wfs if wf.last_issue >= 0}
 
 
 # event kinds
@@ -498,7 +544,11 @@ class Engine:
         * :class:`~repro.simt.probe.Probe` instances receive the
           per-event callbacks and the simulated clock.  Probes are
           passive: a probed launch simulates bit-identically to an
-          unprobed one.
+          unprobed one.  ``on_issue``/``on_wake`` are called only when
+          some probe overrides them.
+        * An observer with ``track_issues`` is handed this launch's
+          :class:`IssueView` (issue count, per-CU and per-wavefront
+          latest issue) once, before the first issue.
         * A watchdog (an observer with ``poll``) returns the first
           cycle it wants polled from ``launch_begin``; the engine calls
           ``poll(now, live)`` once simulated time reaches it and takes
@@ -532,6 +582,10 @@ class Engine:
         probing = probe is not None
         if probing:
             probe.now = 0
+        # the two per-op callbacks are bound only when some probe wants
+        # them, so a probe that records neither pays no call per op.
+        on_issue = overridden(probe, "on_issue")
+        on_wake = overridden(probe, "on_wake")
         for o in observers:
             if not hasattr(o, "poll") and hasattr(o, "launch_begin"):
                 o.launch_begin(device, n_wavefronts)
@@ -571,6 +625,12 @@ class Engine:
             all_wfs.append(wf)
             live += 1
             cu.ready.append(wf)
+        trackers = [o for o in observers if hasattr(o, "track_issues")]
+        tracking = bool(trackers)
+        if tracking:
+            view = IssueView(cus, all_wfs)
+            for o in trackers:
+                o.track_issues(view)
 
         # atomics execute at the L2 (GCN), as do loads/stores of small hot
         # control buffers; bulk data pays full memory latency.
@@ -796,6 +856,11 @@ class Engine:
                 if kind is None:
                     kind = _resolve_op_kind(cls, op)
                 wf.pkind = kind
+                if tracking and kind != _K_ABORT:
+                    cu.issues += 1
+                    cu.last_wf = wf
+                    wf.last_issue = now
+                    wf.last_kind = kind
 
                 if kind == _K_READ:
                     trans = op.trans
@@ -806,8 +871,8 @@ class Engine:
                     n_busy += issue
                     b = now + issue
                     cu.busy_until = b
-                    if probing:
-                        probe.on_issue(now, cu.cid, wf.wid, _K_READ, b, trans)
+                    if on_issue is not None:
+                        on_issue(now, cu.cid, wf.wid, _K_READ, b, trans)
                     if ready:
                         heappush(heap, (b, next_seq(), _EV_CU_FREE, cu))
                         cu.wake = -1
@@ -831,8 +896,8 @@ class Engine:
                     n_busy += issue
                     b = now + issue
                     cu.busy_until = b
-                    if probing:
-                        probe.on_issue(now, cu.cid, wf.wid, _K_ATOMIC, b, 0)
+                    if on_issue is not None:
+                        on_issue(now, cu.cid, wf.wid, _K_ATOMIC, b, 0)
                     if ready:
                         heappush(heap, (b, next_seq(), _EV_CU_FREE, cu))
                         cu.wake = -1
@@ -852,8 +917,8 @@ class Engine:
                     b = now + occ
                     cu.busy_until = b
                     cu.wake = -1
-                    if probing:
-                        probe.on_issue(now, cu.cid, wf.wid, _K_COMPUTE, b, 0)
+                    if on_issue is not None:
+                        on_issue(now, cu.cid, wf.wid, _K_COMPUTE, b, 0)
                     ev = (b, next_seq(), _EV_FREE_READY, wf)
                     if nxt is None:
                         nxt = ev
@@ -869,8 +934,8 @@ class Engine:
                     n_busy += issue
                     b = now + issue
                     cu.busy_until = b
-                    if probing:
-                        probe.on_issue(now, cu.cid, wf.wid, _K_WRITE, b, trans)
+                    if on_issue is not None:
+                        on_issue(now, cu.cid, wf.wid, _K_WRITE, b, trans)
                     buf = op.buf
                     lat = lat_cache.get(buf)
                     if lat is None:
@@ -906,8 +971,8 @@ class Engine:
                     b = now + occ
                     cu.busy_until = b
                     cu.wake = -1
-                    if probing:
-                        probe.on_issue(now, cu.cid, wf.wid, _K_LOCAL, b, 0)
+                    if on_issue is not None:
+                        on_issue(now, cu.cid, wf.wid, _K_LOCAL, b, 0)
                     ev = (b, next_seq(), _EV_FREE_READY, wf)
                     if nxt is None:
                         nxt = ev
@@ -919,8 +984,8 @@ class Engine:
                     b = now + issue
                     cu.busy_until = b
                     cu.wake = -1
-                    if probing:
-                        probe.on_issue(now, cu.cid, wf.wid, _K_FENCE, b, 0)
+                    if on_issue is not None:
+                        on_issue(now, cu.cid, wf.wid, _K_FENCE, b, 0)
                     ev = (b, next_seq(), _EV_FREE_READY, wf)
                     if nxt is None:
                         nxt = ev
@@ -979,8 +1044,8 @@ class Engine:
                     )
                 if kind == _EV_WF_READY:
                     wf = payload
-                    if probing:
-                        probe.on_wake(now, wf.wid)
+                    if on_wake is not None:
+                        on_wake(now, wf.wid)
                     # the op kind was cached on the wavefront at issue
                     if wf.pkind == _K_READ:
                         op = wf.pending

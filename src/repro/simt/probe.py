@@ -30,8 +30,11 @@ Probing is strictly opt-in: a launch has a probe only when a ``Probe``
 is among its observers (``Engine.launch(..., observers=...)`` or an
 attached :class:`~repro.simt.engine.Session`), and instrumentation
 sites are gated on a single ``probe is not None`` test, so a probe-less
-launch runs the exact hot paths of an uninstrumented build.  A single
-probe is used as is; several share one :class:`ProbeFanout`.  A probe
+launch runs the exact hot paths of an uninstrumented build.  The
+per-op callbacks (``on_issue``, ``on_wake``) and the per-acquire
+``sched_tokens`` are bound once per launch through :func:`overridden`,
+so a probe that leaves them as no-ops is never called for them.  A
+single probe is used as is; several share one :class:`ProbeFanout`.  A probe
 must be *passive*: it may read, never mutate, simulation state — the
 engine guarantees that attaching any conforming probe leaves every
 simulated cycle, statistic, and memory word bit-identical (pinned by
@@ -250,6 +253,21 @@ EVENT_CALLBACKS = tuple(
     if callable(attr) and not name.startswith("_")
     and name not in ("launch_begin", "launch_end")
 )
+
+
+def overridden(probe, name: str):
+    """``probe.<name>`` when it is more than :class:`Probe`'s no-op, else
+    None, so a hot path can skip calls no probe wants.
+
+    Looks at the bound attribute, not the class: a :class:`ProbeFanout`
+    binds its children's callbacks per instance.
+    """
+    if probe is None:
+        return None
+    fn = getattr(probe, name)
+    if getattr(fn, "__func__", None) is getattr(Probe, name):
+        return None
+    return fn
 
 
 def _fan(targets: list):

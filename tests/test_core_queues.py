@@ -362,3 +362,116 @@ class TestShardedStealCounters:
             k for k in run.stats.custom
             if "steal" in k
         ]
+
+
+class TestShardedVictimProbe:
+    """A steal attempt samples the victim with one cached control read
+    per (wavefront, victim), which the engine may elide."""
+
+    def test_one_reyielded_ctrl_read_per_wavefront_and_victim(self):
+        from repro.bfs.persistent import run_persistent_bfs
+        from repro.core import ShardedQueue
+        from repro.graphs import roadmap_graph
+        from repro.simt import TESTGPU, MemRead
+        from repro.simt.engine import EXEC_COUNTS
+
+        probes = []  # (wf, buf, op, fresh) per victim probe
+
+        def spied(cap):
+            q = ShardedQueue(cap, n_shards=4, steal=True, spin_threshold=1)
+            inner = q.acquire
+
+            def acquire(ctx, st):
+                gen = inner(ctx, st)
+                sent = None
+                while True:
+                    try:
+                        op = gen.send(sent)
+                    except StopIteration:
+                        return
+                    sent = yield op
+                    # the home RF/AN shard never reads its control words
+                    if isinstance(op, MemRead) and op.buf.endswith(".ctrl"):
+                        probes.append((ctx.wf_id, op.buf, op, op.fresh))
+
+            q.acquire = acquire
+            return q
+
+        elided = EXEC_COUNTS["reads_elided"]
+        run_persistent_bfs(
+            roadmap_graph(12, 12, seed=1), 0, "SHARDED", TESTGPU, 4,
+            verify=True, queue_factory=spied,
+        )
+        elided = EXEC_COUNTS["reads_elided"] - elided
+        ops = {}
+        for wf, buf, op, _ in probes:
+            ops.setdefault((wf, buf), set()).add(id(op))
+        assert all(len(ids) == 1 for ids in ops.values())
+        assert len(probes) > len(ops)  # re-yielded
+        # every victim is another shard of the wavefront's own queue
+        assert all(buf != f"wq.s{wf % 4}.ctrl" for wf, buf in ops)
+        stale = sum(1 for *_, fresh in probes if not fresh)
+        assert stale > 0 and elided >= stale
+
+
+class TestShardedRepublishOverflow:
+    """A steal republish into a full home shard aborts with queue-full
+    context naming the home shard."""
+
+    @pytest.mark.parametrize("circular", [False, True])
+    def test_full_home_shard_raises_queue_full(self, circular):
+        from repro.core import ShardedQueue
+        from repro.simt import TESTGPU, QueueFullError
+
+        eng = Engine(TESTGPU)
+        q = ShardedQueue(4, n_shards=2, steal=True, circular=circular)
+        q.allocate(eng.memory)
+        # wavefront 1 is homed on shard 1 and steals from shard 0
+        home, victim = q.shards[1], q.shards[0]
+        if circular:
+            # every home ring slot still holds an undelivered token
+            home.seed(eng.memory, [7] * home.capacity)
+        else:
+            eng.memory[home.buf_ctrl][REAR] = home.capacity
+        victim.seed(eng.memory, [5, 6])
+        src = np.arange(2, dtype=np.int64)
+        tokens = np.array([5, 6], dtype=np.int64)
+
+        def kernel(ctx):
+            if ctx.wf_id == 1:
+                yield from q._republish(ctx, home, victim, src, src, tokens)
+            yield Compute(1)
+
+        with pytest.raises(QueueFullError, match="queue full") as exc_info:
+            eng.launch(kernel, 2)
+        info = exc_info.value.info()
+        assert info["shard"] == 1
+        assert info["queue"] == home.prefix
+        assert info["capacity"] == home.capacity
+
+
+class _Registrations(simt.Probe):
+    def __init__(self):
+        self.calls = {}
+
+    def queue_register(self, prefix, capacity, variant):
+        self.calls[prefix] = self.calls.get(prefix, 0) + 1
+
+
+@pytest.mark.parametrize("variant", ["RF/AN", "BASE", "GROW", "SHARDED"])
+def test_queue_registers_once_per_launch(variant):
+    from repro.bfs.persistent import run_persistent_bfs
+    from repro.core import ShardedQueue
+    from repro.graphs import roadmap_graph
+    from repro.simt import TESTGPU
+
+    factory = None
+    if variant == "SHARDED":
+        def factory(cap):
+            return ShardedQueue(cap, n_shards=2, steal=True, spin_threshold=1)
+    probe = _Registrations()
+    run_persistent_bfs(
+        roadmap_graph(8, 8, seed=1), 0, variant, TESTGPU, 4, verify=True,
+        observers=[probe], queue_factory=factory,
+    )
+    assert probe.calls and set(probe.calls.values()) == {1}

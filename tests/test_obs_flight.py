@@ -13,11 +13,20 @@ import numpy as np
 import pytest
 
 from repro.bfs import run_persistent_bfs
-from repro.core import WavefrontQueueState, make_queue
+from repro.core import (
+    SchedulerControl,
+    ShardedQueue,
+    WavefrontQueueState,
+    make_queue,
+    persistent_kernel,
+)
 from repro.graphs import dataset
 from repro.graphs.generators import roadmap_graph
+from repro.harness.postmortem import postmortem_main
+from repro.obs.blame import OTHER, _PHASE_CLASS
 from repro.obs.flight import (
     FILL_BUCKETS,
+    FLIGHT_SCHEMA,
     POSTMORTEM_SCHEMA,
     FlightRecorder,
     FlightSession,
@@ -29,6 +38,9 @@ from repro.obs.flight import (
 from repro.obs.session import ProfileSession
 from repro.obs.watchdog import LivenessWatchdog
 from repro.simt import Engine, QueueFullError, TESTGPU, WedgeError, attached
+from repro.simt.engine import OP_KIND_NAMES
+from repro.verify import StarveCUController
+from repro.verify import workloads as vworkloads
 
 
 def _small_bfs(*observers):
@@ -56,6 +68,13 @@ class TestRing:
         assert max(cycles) <= run.cycles
         assert cycles[-1] == max(cycles)
 
+    def test_ring_holds_no_per_op_events(self):
+        rec = FlightRecorder(ring=4096)
+        _small_bfs(rec)
+        kinds = {ev[1] for ev in rec.events}
+        assert "issue" not in kinds and "wake" not in kinds
+        assert {"phase", "atomic", "exit"} <= kinds
+
     def test_progress_signature_advances(self):
         rec = FlightRecorder()
         before = rec.progress_signature()
@@ -63,6 +82,117 @@ class TestRing:
         after = rec.progress_signature()
         assert after != before
         assert rec.deliveries > 0 and rec.exits > 0
+
+
+class _OldIssueRecorder(FlightRecorder):
+    """The recorder as it was when it took a call per issued op: per-CU
+    and per-wavefront last issue and the issue count come from
+    ``on_issue``, and every snapshot carries them under ``"old"`` next
+    to the values the recorder now reads from the engine."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.old_issues = 0
+        self.old_cus = {}
+        self.old_wf_last = {}
+
+    def launch_begin(self, device, n_wavefronts):
+        super().launch_begin(device, n_wavefronts)
+        self.old_cus = {}
+        self.old_wf_last = {}
+
+    def on_issue(self, cycle, cu, wf, kind, end, trans):
+        self.old_issues += 1
+        self.old_cus[cu] = (cycle, wf, OP_KIND_NAMES.get(kind, "?"))
+        self.old_wf_last[wf] = cycle
+
+    def on_wake(self, cycle, wf):
+        pass
+
+    def old_stall_classes(self):
+        hist = {}
+        for wf in range(self.n_wavefronts):
+            if wf in self.exited:
+                continue
+            marked = self.wf_phases.get(wf)
+            if marked is not None:
+                cls = _PHASE_CLASS.get(marked[3], OTHER)
+            elif wf not in self.old_wf_last:
+                cls = "cu_occupancy"
+            else:
+                cls = OTHER
+            hist[cls] = hist.get(cls, 0) + 1
+        return hist
+
+    def snapshot(self):
+        snap = super().snapshot()
+        snap["wf_last_issue"] = self.wf_last_issue
+        snap["old"] = {
+            "cus": {
+                str(cid): {"cycle": c, "wf": wf, "op": op}
+                for cid, (c, wf, op) in sorted(self.old_cus.items())
+            },
+            "wf_last_issue": dict(self.old_wf_last),
+            "issues": self.old_issues,
+            "stall_classes": self.old_stall_classes(),
+        }
+        return snap
+
+
+def _assert_issue_parity(snap):
+    old = snap["old"]
+    assert snap["cus"] == old["cus"]
+    assert snap["wf_last_issue"] == old["wf_last_issue"]
+    assert snap["progress"]["issues"] == old["issues"] > 0
+    assert snap["stall_classes"] == old["stall_classes"]
+
+
+class TestIssueStateParity:
+    """Per-CU/per-wavefront last issue and the issue count, now read
+    from the engine at snapshot time, match per-op recording."""
+
+    @pytest.mark.parametrize("variant", ["RF/AN", "BASE", "SHARDED"])
+    def test_at_launch_end(self, variant):
+        g = roadmap_graph(10, 10, seed=4)
+        rec = _OldIssueRecorder()
+        kw = {}
+        if variant == "SHARDED":
+            kw["queue_factory"] = lambda cap: ShardedQueue(
+                cap, n_shards=2, steal=True, spin_threshold=1
+            )
+        run_persistent_bfs(
+            g, 0, variant, TESTGPU, 4, verify=False, observers=[rec], **kw
+        )
+        snap = rec.snapshot()
+        _assert_issue_parity(snap)
+        assert snap["progress"]["issues"] == rec.issues
+
+    def test_in_a_mid_launch_watchdog_snapshot(self):
+        # starve CU 1 forever: its wavefronts never issue, so the
+        # snapshot classifies them cu_occupancy from the issue state.
+        worker, seeds, _ = vworkloads.build("countdown", 6)
+        eng = Engine(TESTGPU)
+        sched = SchedulerControl()
+        q = make_queue("RF/AN", capacity=64)
+        q.allocate(eng.memory)
+        sched.allocate(eng.memory)
+        q.seed(eng.memory, seeds)
+        sched.seed(eng.memory, len(seeds))
+        ctrl = StarveCUController(
+            cid=1, period=1 << 30, duty=(1 << 30) - 1, max_holds=1 << 40,
+        )
+        rec = _OldIssueRecorder()
+        wd = LivenessWatchdog(rec, window=20_000)
+        with pytest.raises(WedgeError) as exc_info:
+            eng.launch(
+                persistent_kernel(q, worker, sched), 4,
+                params={"max_work_cycles": 500_000},
+                observers=[rec, ctrl, wd], max_cycles=10_000_000,
+            )
+        for snap in (wd.snapshots[0], exc_info.value.snapshot):
+            assert snap["finished"] is False
+            assert snap["stall_classes"].get("cu_occupancy", 0) > 0
+            _assert_issue_parity(snap)
 
 
 class TestSnapshot:
@@ -210,6 +340,45 @@ class TestPostmortemBundle:
         path.write_text(json.dumps({"schema": 999}))
         with pytest.raises(ValueError, match="schema"):
             load_postmortem(str(path))
+
+    def test_schema_1_bundles_still_load_and_render(self, tmp_path, capsys):
+        rec = FlightRecorder(ring=8)
+        _small_bfs(rec)
+        err = QueueFullError("queue full: queue 'wq' fill 64/64",
+                             queue="wq", capacity=64, fill=64)
+        bundle = build_postmortem(recorder=rec, error=err)
+        # the schema-1 layout: issue/wake ring events, progress.wakes
+        bundle["schema"] = bundle["flight"]["schema"] = 1
+        bundle["flight"]["ring"][-2:] = [
+            [90, "issue", 0, 1, "MemRead"], [95, "wake", 1],
+        ]
+        bundle["flight"]["progress"]["wakes"] = 12
+        path = write_postmortem(bundle, str(tmp_path))
+        again = load_postmortem(path)
+        assert again["schema"] == 1
+        text = render_postmortem(again)
+        assert "postmortem (schema 1)" in text
+        assert "95 wake 1" in text
+        assert postmortem_main(["show", path]) == 0
+        assert "QueueFullError" in capsys.readouterr().out
+        assert postmortem_main(["report", str(tmp_path)]) == 0
+        assert "fill=64/64" in capsys.readouterr().out
+
+    def test_cli_rejects_unknown_schema_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "postmortem-x.json"
+        path.write_text(json.dumps({"schema": 999}))
+        assert postmortem_main(["show", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("postmortem: unsupported postmortem schema 999")
+
+    def test_current_schema_is_2(self):
+        assert FLIGHT_SCHEMA == POSTMORTEM_SCHEMA == 2
+        rec = FlightRecorder()
+        _small_bfs(rec)
+        snap = rec.snapshot()
+        assert snap["schema"] == 2
+        assert "wakes" not in snap["progress"]
 
     def test_write_never_clobbers(self, tmp_path):
         bundle = build_postmortem()

@@ -505,6 +505,71 @@ class TestObservers:
         assert len(fast.polls) > len(slow.polls)
 
 
+class _Tracker:
+    """An observer that only reads the launch's IssueView."""
+
+    def track_issues(self, view):
+        self.view = view
+
+
+def _memory_kernel(ctx):
+    buf = ctx.params["buf"]
+    yield MemRead(buf, ctx.lane)
+    yield Compute(3)
+    yield MemWrite(buf, ctx.lane, ctx.lane)
+
+
+class TestPerOpCallbacks:
+    """``on_issue``/``on_wake`` are bound only when a probe wants them."""
+
+    def test_probe_without_overrides_gets_no_issue_or_wake_calls(
+        self, engine, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(Probe, "on_issue", lambda self, *a: calls.append(a))
+        monkeypatch.setattr(Probe, "on_wake", lambda self, *a: calls.append(a))
+        exits = _Exits()
+        engine.memory.alloc("b", 64)
+        engine.launch(_memory_kernel, 3, params={"buf": "b"},
+                      observers=[exits])
+        assert calls == []
+        assert len(exits.exits) == 3
+
+    def test_fanout_with_the_flight_recorder_keeps_every_timeline_issue(
+        self, testgpu
+    ):
+        from repro.obs.flight import FlightRecorder
+        from repro.obs.timeline import TimelineProbe
+
+        alone = TimelineProbe()
+        eng = Engine(testgpu)
+        eng.memory.alloc("b", 64)
+        res = eng.launch(_memory_kernel, 3, params={"buf": "b"},
+                         observers=[alone])
+        composed, rec = TimelineProbe(), FlightRecorder()
+        eng = Engine(testgpu)
+        eng.memory.alloc("b", 64)
+        eng.launch(_memory_kernel, 3, params={"buf": "b"},
+                   observers=[composed, rec])
+        assert len(composed.issues) == res.stats.issued_ops
+        assert composed.issues == alone.issues
+        assert composed.wakes == alone.wakes and alone.wakes
+        assert rec.issues == res.stats.issued_ops
+
+    def test_issue_view_tracks_last_issue_per_cu_and_wavefront(self, engine):
+        tracker, issues = _Tracker(), _Issues()
+        res = engine.launch(_compute_kernel, 3, observers=[tracker, issues])
+        view = tracker.view
+        assert view.issues() == res.stats.issued_ops == len(issues.issues)
+        last = {}
+        for cycle, wf, _ in issues.issues:
+            last[wf] = cycle
+        assert view.wf_last_issue() == last
+        for cid, (cycle, wf, op) in view.cu_last_issue().items():
+            assert op == "Compute" and last[wf] == cycle
+            assert wf % engine.device.n_cus == cid
+
+
 class TestSessions:
     def test_session_observers_join_every_launch(self, testgpu):
         made = []
