@@ -31,7 +31,6 @@ from repro.core import (
     WorkCycleResult,
     make_queue,
     persistent_kernel,
-    sharded_persistent_kernel,
 )
 from repro.graphs import CSRGraph
 from repro.simt import (
@@ -202,12 +201,7 @@ def _run_once(
     queue.seed(engine.memory, [source])
     sched.seed(engine.memory, 1)
 
-    make_kernel = (
-        sharded_persistent_kernel
-        if getattr(queue, "n_shards", 1) > 1
-        else persistent_kernel
-    )
-    kernel = make_kernel(
+    kernel = persistent_kernel(
         queue, BFSWorker(), sched, subtasks_per_cycle=subtasks_per_cycle
     )
     result = engine.launch(

@@ -47,7 +47,6 @@ from .scheduler import (
     WorkCycleResult,
     Worker,
     persistent_kernel,
-    sharded_persistent_kernel,
 )
 from .state import WavefrontQueueState
 
@@ -103,5 +102,4 @@ __all__ = [
     "Worker",
     "make_queue",
     "persistent_kernel",
-    "sharded_persistent_kernel",
 ]

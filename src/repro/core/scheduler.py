@@ -158,7 +158,36 @@ def persistent_kernel(
     ``aggregate_termination`` overrides whether in-flight-counter updates
     go through the proxy lane (default: follow the queue's arbitrary-n
     property); the termination ablation bench uses this.
+
+    A queue with ``n_shards > 1`` (:class:`~repro.core.queue_sharded
+    .ShardedQueue`) changes two things:
+
+    * **Fused termination accounting.**  Instead of two fetch-adds on
+      the global in-flight counter per productive work cycle (``+n_new``
+      before publish, ``-n_done`` after), one ``+(n_new - n_done)``
+      fetch-add is issued *before* publish, halving traffic on the
+      scheduler's hot word — the one word queue sharding cannot split.
+      This is safe: the fused delta still counts discoveries no later
+      than their tokens become visible, so the counter reaching zero
+      proves ``n_new == 0`` for the observing wavefront (its own
+      discoveries are included in ``remaining``) and no task anywhere is
+      running, queued, or about to be queued.  Fused accounting is
+      always aggregated, so ``aggregate_termination=False`` is rejected.
+    * **Per-home-shard counters.**  ``scheduler.shard<i>.work_cycles`` /
+      ``idle_lane_cycles`` / ``tasks_completed`` expose cross-shard load
+      imbalance in every run's metrics without any probe attached.
+
+    A single-shard queue runs the plain loop, so the shards=1
+    configuration stays bit-identical to the bare inner variant.
     """
+    n_shards = int(getattr(queue, "n_shards", 1))
+    fused = n_shards > 1
+    if fused and aggregate_termination is False:
+        raise ValueError(
+            "aggregate_termination=False is not supported for a queue with "
+            f"n_shards={n_shards}: its fused termination accounting is "
+            "always aggregated"
+        )
     aggregated = (
         queue.arbitrary_n
         if aggregate_termination is None
@@ -173,6 +202,11 @@ def persistent_kernel(
         wstate = worker.make_state(ctx)
         max_cycles: Optional[int] = ctx.params.get("max_work_cycles")  # type: ignore[assignment]
         cycles = 0
+        if fused:
+            home = ctx.wf_id % n_shards
+            k_cycles = sched_shard_key(home, "work_cycles")
+            k_idle = sched_shard_key(home, "idle_lane_cycles")
+            k_done = sched_shard_key(home, "tasks_completed")
 
         done_idx = np.array([DONE], dtype=np.int64)
         # one reusable poll op: the engine fills `result` afresh at every
@@ -222,35 +256,54 @@ def persistent_kernel(
 
                 # 4. ScheduleNewlyDiscoveredWorkTokens() with termination
                 #    accounting: count new tasks in-flight *before* their
-                #    tokens appear, completions *after*.
-                if n_new:
+                #    tokens appear, completions *after* (fused: one
+                #    fetch-add covering both, before the publish).
+                if fused:
+                    if not (n_new or n_done):
+                        continue
                     if probe is not None:
                         probe.wf_phase(ctx.wf_id, "termination")
-                    if aggregated:
-                        op = AtomicRMW(
-                            sched.buf_ctrl, PENDING, AtomicKind.ADD, n_new
+                    delta = n_new - n_done
+                    op = AtomicRMW(sched.buf_ctrl, PENDING, AtomicKind.ADD, delta)
+                    yield op
+                    remaining = int(op.old[0]) + delta
+                    if n_new:
+                        yield from queue.publish(
+                            ctx, st, res.new_counts, res.new_tokens
                         )
-                        yield op
-                    else:
-                        has_new = res.new_counts > 0
-                        k = int(has_new.sum())
-                        op = AtomicRMW(
-                            sched.buf_ctrl,
-                            np.full(k, PENDING, dtype=np.int64),
-                            AtomicKind.ADD,
-                            res.new_counts[has_new],
+                else:
+                    if n_new:
+                        if probe is not None:
+                            probe.wf_phase(ctx.wf_id, "termination")
+                        if aggregated:
+                            op = AtomicRMW(
+                                sched.buf_ctrl, PENDING, AtomicKind.ADD, n_new
+                            )
+                            yield op
+                        else:
+                            has_new = res.new_counts > 0
+                            k = int(has_new.sum())
+                            op = AtomicRMW(
+                                sched.buf_ctrl,
+                                np.full(k, PENDING, dtype=np.int64),
+                                AtomicKind.ADD,
+                                res.new_counts[has_new],
+                            )
+                            yield op
+                        yield from queue.publish(
+                            ctx, st, res.new_counts, res.new_tokens
                         )
-                        yield op
-                    yield from queue.publish(
-                        ctx, st, res.new_counts, res.new_tokens
-                    )
+                    if not n_done:
+                        continue
+                    if probe is not None:
+                        probe.wf_phase(ctx.wf_id, "termination")
 
                 if n_done:
-                    if probe is not None:
-                        probe.wf_phase(ctx.wf_id, "termination")
                     st.complete(np.flatnonzero(res.completed))
                     custom[K_TASKS_DONE] += n_done
-                    if aggregated:
+                    if fused:
+                        custom[k_done] += n_done
+                    elif aggregated:
                         op = AtomicRMW(
                             sched.buf_ctrl, PENDING, AtomicKind.ADD, -n_done
                         )
@@ -265,144 +318,24 @@ def persistent_kernel(
                         )
                         yield op
                         remaining = int(op.old.min()) - 1
-                    if remaining == 0:
-                        if probe is not None:
-                            probe.sched_done(probe.now, ctx.wf_id)
-                        yield MemWrite(sched.buf_ctrl, DONE, 1)
-                    elif remaining < 0:
-                        raise RuntimeError(
-                            "in-flight counter went negative: a task was "
-                            "completed twice or never accounted"
-                        )
-        finally:
-            custom[K_WORK_CYCLES] = custom.get(K_WORK_CYCLES, 0) + cycles
-            custom[K_IDLE_CYCLES] = custom.get(K_IDLE_CYCLES, 0) + idle_lanes
-
-    return kernel
-
-
-def sharded_persistent_kernel(
-    queue: DeviceQueue,
-    worker: Worker,
-    sched: SchedulerControl,
-    subtasks_per_cycle: int = DEFAULT_SUBTASKS_PER_CYCLE,
-    aggregate_termination: Optional[bool] = None,
-):
-    """Shard-aware persistent kernel for a :class:`~repro.core.queue_sharded.ShardedQueue`.
-
-    Same work-cycle structure as :func:`persistent_kernel`, with two
-    shard-specific changes:
-
-    * **Fused termination accounting.**  The baseline kernel pays two
-      fetch-adds on the global in-flight counter per productive work
-      cycle (``+n_new`` before publish, ``-n_done`` after).  Here both
-      are folded into a single ``+(n_new - n_done)`` fetch-add issued
-      *before* publish, halving traffic on the scheduler's hot word —
-      the one word queue sharding cannot split.  This is safe: the fused
-      delta still counts discoveries no later than their tokens become
-      visible, so the counter reaching zero proves ``n_new == 0`` for
-      the observing wavefront (its own discoveries are included in
-      ``remaining``) and no task anywhere is running, queued, or about
-      to be queued.
-    * **Per-home-shard counters.**  ``scheduler.shard<i>.work_cycles`` /
-      ``idle_lane_cycles`` / ``tasks_completed`` expose cross-shard load
-      imbalance in every run's metrics without any probe attached.
-
-    For a single-shard queue this *returns* :func:`persistent_kernel`'s
-    kernel unchanged, keeping the shards=1 configuration bit-identical
-    to the bare inner variant (same op stream, no extra counter keys).
-    """
-    n_shards = int(getattr(queue, "n_shards", 1))
-    if n_shards <= 1:
-        return persistent_kernel(
-            queue, worker, sched, subtasks_per_cycle, aggregate_termination
-        )
-
-    def kernel(ctx: KernelContext) -> Generator[Op, Op, None]:
-        ctx.params.setdefault("subtasks_per_cycle", subtasks_per_cycle)
-        stats = ctx.stats
-        wf_size = ctx.device.wavefront_size
-        st = WavefrontQueueState(wf_size)
-        wstate = worker.make_state(ctx)
-        max_cycles: Optional[int] = ctx.params.get("max_work_cycles")  # type: ignore[assignment]
-        cycles = 0
-
-        home = ctx.wf_id % n_shards
-        custom = stats.custom
-        k_cycles = sched_shard_key(home, "work_cycles")
-        k_idle = sched_shard_key(home, "idle_lane_cycles")
-        k_done = sched_shard_key(home, "tasks_completed")
-
-        done_idx = np.array([DONE], dtype=np.int64)
-        dread = MemRead(sched.buf_ctrl, done_idx, trans=1, prechecked=True)
-        probe = ctx.probe
-        # skip the per-acquire call when no probe records token counts
-        sched_tokens = overridden(probe, "sched_tokens")
-        # per-cycle counters accumulate in locals and flush in the finally
-        # block (the engine closes kernel generators at launch teardown,
-        # so the flush also runs for aborted or timed-out launches).
-        idle_lanes = 0
-        try:
-            while True:
-                # An elided poll (dread.fresh False) means the control
-                # word is untouched since the previous check, which saw 0.
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "termination")
-                yield dread
-                if dread.fresh and int(dread.result[0]):
-                    break
-                cycles += 1
-                if max_cycles is not None and cycles > max_cycles:
-                    raise RuntimeError(
-                        f"wavefront {ctx.wf_id} exceeded max_work_cycles="
-                        f"{max_cycles}; termination protocol stuck?"
-                    )
-
-                yield from queue.acquire(ctx, st)
-                idle_lanes += wf_size - st.n_token
-                if sched_tokens is not None:
-                    sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
-                if st.n_token == 0:
-                    continue
-
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "work")
-                res = yield from worker.work_cycle(ctx, wstate, st)
-                n_new = int(res.new_counts.sum())
-                n_done = int(res.completed.sum())
-
-                # fused accounting: one fetch-add covers +new and -done, and
-                # must land before the new tokens become visible (publish).
-                delta = n_new - n_done
-                if n_new or n_done:
+                if remaining == 0:
                     if probe is not None:
-                        probe.wf_phase(ctx.wf_id, "termination")
-                    op = AtomicRMW(sched.buf_ctrl, PENDING, AtomicKind.ADD, delta)
-                    yield op
-                    remaining = int(op.old[0]) + delta
-                    if n_new:
-                        yield from queue.publish(
-                            ctx, st, res.new_counts, res.new_tokens
-                        )
-                    if n_done:
-                        st.complete(np.flatnonzero(res.completed))
-                        custom[K_TASKS_DONE] += n_done
-                        custom[k_done] += n_done
-                    if remaining == 0:
-                        if probe is not None:
+                        if fused:
+                            # the publish above may have moved the phase
                             probe.wf_phase(ctx.wf_id, "termination")
-                            probe.sched_done(probe.now, ctx.wf_id)
-                        yield MemWrite(sched.buf_ctrl, DONE, 1)
-                    elif remaining < 0:
-                        raise RuntimeError(
-                            "in-flight counter went negative: a task was "
-                            "completed twice or never accounted"
-                        )
+                        probe.sched_done(probe.now, ctx.wf_id)
+                    yield MemWrite(sched.buf_ctrl, DONE, 1)
+                elif remaining < 0:
+                    raise RuntimeError(
+                        "in-flight counter went negative: a task was "
+                        "completed twice or never accounted"
+                    )
         finally:
             custom[K_WORK_CYCLES] = custom.get(K_WORK_CYCLES, 0) + cycles
-            custom[k_cycles] = custom.get(k_cycles, 0) + cycles
+            if fused:
+                custom[k_cycles] = custom.get(k_cycles, 0) + cycles
             custom[K_IDLE_CYCLES] = custom.get(K_IDLE_CYCLES, 0) + idle_lanes
-            custom[k_idle] = custom.get(k_idle, 0) + idle_lanes
+            if fused:
+                custom[k_idle] = custom.get(k_idle, 0) + idle_lanes
 
     return kernel
-

@@ -26,7 +26,6 @@ from repro.core import (
     ShardedQueue,
     make_queue,
     persistent_kernel,
-    sharded_persistent_kernel,
 )
 from repro.core.scheduler import K_TASKS_DONE
 from repro.simt import TESTGPU, Engine
@@ -223,13 +222,12 @@ def run_scenario(sc: Scenario) -> Outcome:
 
     if getattr(queue, "n_shards", 1) > 1:
         oracle = MultiQueueOracle(queue)
-        kern = sharded_persistent_kernel(queue, worker, sched)
     else:
         # a single-shard ShardedQueue is spec-identical to its inner
         # variant, so the plain sequential oracle applies verbatim.
         inner = queue.shards[0] if isinstance(queue, ShardedQueue) else queue
         oracle = InvariantOracle(inner)
-        kern = persistent_kernel(queue, worker, sched)
+    kern = persistent_kernel(queue, worker, sched)
     oracle.note_seed(seeds)
     controller = build_controller(sc.schedule)
 

@@ -152,6 +152,53 @@ class TestAccounting:
         assert seen["sub"] == 7
 
 
+class TestShardedKernel:
+    """One kernel: a multi-shard queue switches it to fused accounting."""
+
+    def test_aggregate_termination_false_rejected_for_shards(self):
+        from repro.core import ShardedQueue
+
+        q = ShardedQueue(64, n_shards=2)
+        with pytest.raises(ValueError, match="aggregate_termination"):
+            persistent_kernel(
+                q, CountdownWorker(), SchedulerControl(),
+                aggregate_termination=False,
+            )
+
+    @pytest.mark.parametrize("aggregate", [None, True])
+    def test_fused_accounting_for_shards(self, aggregate, testgpu):
+        from repro.core import ShardedQueue
+
+        eng = Engine(testgpu)
+        q = ShardedQueue(256, n_shards=2)
+        sched = SchedulerControl()
+        q.allocate(eng.memory)
+        sched.allocate(eng.memory)
+        q.seed(eng.memory, [6, 4])
+        sched.seed(eng.memory, 2)
+        kern = persistent_kernel(
+            q, CountdownWorker(), sched, aggregate_termination=aggregate
+        )
+        res = eng.launch(kern, 4, params={"max_work_cycles": 50_000})
+        c = res.stats.custom
+        assert c["scheduler.tasks_completed"] == 7 + 5
+        assert (
+            c["scheduler.shard0.tasks_completed"]
+            + c["scheduler.shard1.tasks_completed"]
+            == 7 + 5
+        )
+        assert sched.is_done(eng.memory)
+
+    def test_single_shard_keeps_aggregate_override(self):
+        from repro.core import ShardedQueue
+
+        q = ShardedQueue(64, n_shards=1)
+        persistent_kernel(
+            q, CountdownWorker(), SchedulerControl(),
+            aggregate_termination=False,
+        )
+
+
 class TestSchedulerControl:
     def test_seed_zero_sets_done(self, testgpu):
         eng = Engine(testgpu)

@@ -29,7 +29,7 @@ from repro.core import (
     ShardedQueue,
     SpillQueue,
     make_queue,
-    sharded_persistent_kernel,
+    persistent_kernel,
 )
 from repro.ext.queue_naive_cas import NaiveCasQueue
 from repro.simt import TESTGPU, Engine, KernelAbort, QueueFullError
@@ -149,7 +149,7 @@ def run_case(config: str, workload: str, scale: int, circular: bool, probe=None)
     queue.seed(eng.memory, seeds)
     sched.seed(eng.memory, len(seeds))
     res = eng.launch(
-        sharded_persistent_kernel(queue, worker, sched),
+        persistent_kernel(queue, worker, sched),
         2 if config == "SPILL" else N_WAVEFRONTS,
         params={"max_work_cycles": 200_000},
         observers=[] if probe is None else [probe],
@@ -225,7 +225,7 @@ def observe_abort(case: str) -> dict:
     probe = HashProbe()
     with pytest.raises(KernelAbort) as exc:
         eng.launch(
-            sharded_persistent_kernel(queue, worker, sched),
+            persistent_kernel(queue, worker, sched),
             n_wf,
             params={"max_work_cycles": 200_000},
             observers=[probe],
