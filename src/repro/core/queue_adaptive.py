@@ -71,10 +71,9 @@ from repro.simt.lanes import segmented_rank
 from .constants import DNA, FRONT, REAR
 from .queue_api import (
     K_ARRIVAL_CHECKS,
-    K_DEQ_TOKENS,
     K_ENQ_TOKENS,
-    K_PROXY_ATOMICS,
     QueueFull,
+    queue_full,
 )
 from .queue_rfan import RetryFreeQueue
 from .state import WavefrontQueueState
@@ -286,15 +285,10 @@ class GrowQueue(RetryFreeQueue):
             yield scan
             free = np.flatnonzero(scan.result == 0)
             if free.size == 0:
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} segment pool "
-                    f"exhausted ({self.pool_segments} segments x "
-                    f"{self.seg_cap} slots live, none drained)",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": self.capacity,
-                    },
+                yield self._full(
+                    f"segment pool exhausted ({self.pool_segments} "
+                    f"segments x {self.seg_cap} slots live, none drained)",
+                    self.capacity,
                 )
             claim = AtomicRMW(
                 self.buf_segstate, int(free[0]), AtomicKind.CAS, 0, 1
@@ -302,14 +296,10 @@ class GrowQueue(RetryFreeQueue):
             yield claim
             if bool(claim.success[0]):
                 return int(free[0])
-        yield Abort(
-            f"queue full: queue {self.prefix!r} segment pool contended "
-            f"out ({self.pool_segments} claim rounds lost)",
-            info={
-                "queue": self.prefix,
-                "capacity": self.capacity,
-                "fill": self.capacity,
-            },
+        yield self._full(
+            f"segment pool contended out ({self.pool_segments} claim "
+            f"rounds lost)",
+            self.capacity,
         )
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -330,15 +320,11 @@ class GrowQueue(RetryFreeQueue):
         custom = ctx.stats.custom
         probe = ctx.probe
         if last_seg >= self.max_segments:
-            yield Abort(
-                f"queue full: queue {self.prefix!r} segment map exhausted "
-                f"(logical segment {last_seg} >= max_segments "
-                f"{self.max_segments})",
-                info={
-                    "queue": self.prefix,
-                    "capacity": self.logical_capacity,
-                    "fill": last_seg * self.seg_cap,
-                },
+            yield self._full(
+                f"segment map exhausted (logical segment {last_seg} >= "
+                f"max_segments {self.max_segments})",
+                last_seg * self.seg_cap,
+                capacity=self.logical_capacity,
             )
         unknown = [
             s for s in range(first_seg, last_seg + 1) if segcache[s] < 0
@@ -386,10 +372,10 @@ class GrowQueue(RetryFreeQueue):
         if probe is not None and self._registered is not ctx.stats:
             self._register(ctx)
 
-        # --- slot reservation: identical to RF/AN ----------------------
+        # --- slot reservation: Listing 1, as in RF/AN -----------------
         n_hungry = st.wavefront_size - st.n_token - st.n_watching
         if n_hungry:
-            yield from self._reserve_hungry(ctx, st, n_hungry)
+            yield from self._reserve(ctx, st, n_hungry)
 
         if st.n_watching == 0:
             return
@@ -443,47 +429,9 @@ class GrowQueue(RetryFreeQueue):
                         self.prefix, "empty_poll", probe.now, n_mapped
                     )
                 return
-            arrived = res != DNA
-            got_lanes = lanes[arrived]
-            tokens = res[arrived]
-            raw_got = st.slot[got_lanes]
-            if probe is not None:
-                probe.queue_grant(self.prefix, raw_got, probe.now)
-                probe.queue_deliver(self.prefix, raw_got, tokens)
-            yield MemWrite(self.buf_data, phys[arrived], DNA)
-            st.unwatch(got_lanes)
-            st.grant(got_lanes, tokens)
-            custom[K_DEQ_TOKENS] += int(got_lanes.size)
+            raw_got = yield from self._take(ctx, st, lanes, phys, res)
             yield from self._recycle(ctx, segcache, raw_got)
             return
-
-    def _reserve_hungry(
-        self, ctx: KernelContext, st: WavefrontQueueState, n_hungry: int
-    ) -> Generator[Op, Op, None]:
-        """Listing 1 verbatim (shared with RF/AN): one AFA on Front."""
-        from repro.simt.lanes import rank_within
-
-        from .queue_api import K_DEQ_REQUESTS
-
-        custom = ctx.stats.custom
-        probe = ctx.probe
-        hungry = st.hungry_mask()
-        custom[K_DEQ_REQUESTS] += n_hungry
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-        ranks, total = rank_within(hungry)
-        yield LocalOp(ctx.device.lds_op_cycles)
-        op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        lanes = np.flatnonzero(hungry)
-        st.watch(lanes, base + ranks[lanes])
-        if probe is not None:
-            probe.queue_counter(self.prefix, "front", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "acquire", total)
-            probe.queue_reserve(self.prefix, "acquire", base, total)
-            probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
 
     def _build_poll_cache(
         self, st: WavefrontQueueState, segcache: np.ndarray
@@ -558,8 +506,6 @@ class GrowQueue(RetryFreeQueue):
         counts: np.ndarray,
         tokens: np.ndarray,
     ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
         counts = np.asarray(counts, dtype=np.int64)
         has_new = counts > 0
         if not has_new.any():
@@ -569,16 +515,8 @@ class GrowQueue(RetryFreeQueue):
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
         ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
-
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, total)
-        yield op
-        stats.custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", base, total)
+        yield LocalOp(ctx.device.lds_op_cycles)
+        base = yield from self._advance(ctx, REAR, total)
 
         # --- growth: map every logical segment the batch spans ---------
         segcache = self._segcache(ctx.wf_id)
@@ -593,37 +531,21 @@ class GrowQueue(RetryFreeQueue):
         for t in range(max_count):
             active = counts > t
             raw = lane_base[active] + t
-            phys = self._translate(segcache, raw)
-            check = MemRead(self.buf_data, phys)
-            yield check
-            if np.any(check.result != DNA):
-                # a mapped slot below Rear can only be non-sentinel if
-                # the recycle protocol broke: surface it, never overwrite.
-                yield Abort(
-                    f"grow queue {self.prefix!r}: target slot not "
-                    f"data-not-arrived in a freshly mapped segment "
-                    f"(recycle protocol violation)",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": int(raw[check.result != DNA][0]),
-                    },
-                )
-            vals = tokens[active, t]
-            yield from self._store_batch(ctx, raw, phys, vals)
-        stats.custom[K_ENQ_TOKENS] += int(total)
+            yield from self._store(
+                ctx, raw, self._translate(segcache, raw), tokens[active, t],
+                self._recycle_violation,
+            )
+        ctx.stats.custom[K_ENQ_TOKENS] += int(total)
 
-    def _store_batch(
-        self,
-        ctx: KernelContext,
-        raw: np.ndarray,
-        phys: np.ndarray,
-        vals: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        """One lock-step store sub-iteration (plant hook point)."""
-        if ctx.probe is not None:
-            ctx.probe.queue_store(self.prefix, raw, vals)
-        yield MemWrite(self.buf_data, phys, vals)
+    def _recycle_violation(self, bad: np.ndarray) -> Abort:
+        # a mapped slot below Rear can only be non-sentinel if the
+        # recycle protocol broke: surface it, never overwrite.
+        return queue_full(
+            f"grow queue {self.prefix!r}: target slot not "
+            f"data-not-arrived in a freshly mapped segment "
+            f"(recycle protocol violation)",
+            self.prefix, self.capacity, int(bad[0]),
+        )
 
 
 class SpillQueue(RetryFreeQueue):
@@ -767,16 +689,7 @@ class SpillQueue(RetryFreeQueue):
             )
             yield from self._spill(ctx, flat)
             return
-        yield from self._publish_ring(ctx, st, counts, tokens)
-
-    def _publish_ring(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        """The unmodified RF/AN circular publish (Listing 3)."""
+        # the unmodified RF/AN circular publish (Listing 3)
         yield from super().publish(ctx, st, counts, tokens)
 
     def _spill(
@@ -795,15 +708,11 @@ class SpillQueue(RetryFreeQueue):
         # head only advances, so a stale read overestimates the depth:
         # if the estimate fits, the true depth fits.
         if depth > self.spill_capacity:
-            yield Abort(
-                f"queue full: queue {self.prefix!r} spill ring exhausted "
-                f"({depth} pending > spill_capacity "
+            yield self._full(
+                f"spill ring exhausted ({depth} pending > spill_capacity "
                 f"{self.spill_capacity}); the pump cannot keep up",
-                info={
-                    "queue": self.prefix,
-                    "capacity": self.spill_capacity,
-                    "fill": depth,
-                },
+                depth,
+                capacity=self.spill_capacity,
             )
         entries = (base + np.arange(n, dtype=np.int64)) % self.spill_capacity
         self._spill_pending += n
@@ -833,7 +742,6 @@ class SpillQueue(RetryFreeQueue):
         if not self._gate_ok():
             return
         custom = ctx.stats.custom
-        probe = ctx.probe
         ctrl_rd = self._read_ctrl()
         yield ctrl_rd
         front, rear = int(ctrl_rd.result[0]), int(ctrl_rd.result[1])
@@ -879,40 +787,25 @@ class SpillQueue(RetryFreeQueue):
         self, ctx: KernelContext, toks: np.ndarray
     ) -> Generator[Op, Op, None]:
         """Re-publish spilled tokens through the ordinary Rear path."""
-        custom = ctx.stats.custom
-        probe = ctx.probe
         k = int(toks.size)
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, k)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
+        base = yield from self._advance(ctx, REAR, k)
         raw = base + np.arange(k, dtype=np.int64)
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + k)
-            probe.queue_proxy(self.prefix, "publish", k)
-            probe.queue_reserve(self.prefix, "publish", base, k)
-        phys = self._phys(raw)
-        check = MemRead(self.buf_data, phys)
-        yield check
-        if np.any(check.result != DNA):
-            # fill was at or below low_water when we started; a target
-            # can only be occupied if the ring is undersized for the
-            # resident lanes — the same §4.2 abort as bare circular.
-            yield Abort(
-                f"queue full: queue {self.prefix!r} target slot not "
-                f"data-not-arrived during spill re-publication (ring "
-                f"capacity {self.capacity} below resident-lane demand)",
-                info={
-                    "queue": self.prefix,
-                    "capacity": self.capacity,
-                    "fill": self.capacity,
-                },
-            )
-        if probe is not None:
-            probe.queue_reinject(self.prefix, raw, toks)
-            probe.queue_store(self.prefix, raw, toks)
-        yield MemWrite(self.buf_data, phys, toks)
-        custom[K_ENQ_TOKENS] += k
+        yield from self._store(
+            ctx, raw, self._phys(raw), toks, self._reinject_full,
+            reinject=True,
+        )
+        ctx.stats.custom[K_ENQ_TOKENS] += k
+
+    def _reinject_full(self, bad: np.ndarray) -> Abort:
+        # fill was at or below low_water when the pump started; a target
+        # can only be occupied if the ring is undersized for the
+        # resident lanes — the same §4.2 abort as bare circular.
+        return self._full(
+            f"target slot not data-not-arrived during spill "
+            f"re-publication (ring capacity {self.capacity} below "
+            f"resident-lane demand)",
+            self.capacity,
+        )
 
     def _retire_entries(
         self, ctx: KernelContext, entries: np.ndarray, new_head: int

@@ -22,7 +22,6 @@ from typing import Generator
 import numpy as np
 
 from repro.simt import (
-    Abort,
     AtomicKind,
     AtomicRMW,
     KernelContext,
@@ -74,10 +73,7 @@ class ArbitraryNQueue(BaseCasQueue):
         while True:
             ctrl = self._read_ctrl()
             yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, front)
-                probe.queue_counter(self.prefix, "rear", probe.now, rear)
+            front, rear = self._sampled(probe, ctrl)
             avail = rear - front
             m = min(n, avail)
             if m <= 0:
@@ -158,21 +154,9 @@ class ArbitraryNQueue(BaseCasQueue):
         while True:
             ctrl = self._read_ctrl()
             yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, front)
-                probe.queue_counter(self.prefix, "rear", probe.now, rear)
+            front, rear = self._sampled(probe, ctrl)
             if self._is_full(front, rear, total):
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} fill "
-                    f"{rear - front}/{self.capacity} (rear={rear} "
-                    f"front={front} need={total})",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": rear - front,
-                    },
-                )
+                yield self._full_at(front, rear, total)
             if not first_round:
                 stats.custom[K_CAS_ROUNDS] += 1
             first_round = False
@@ -187,9 +171,7 @@ class ArbitraryNQueue(BaseCasQueue):
                 probe.queue_instant(self.prefix, "cas_retry", probe.now, 1)
 
         if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, rear + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", rear, total)
+            self._announce(ctx, REAR, rear, total)
 
         lane_base = rear + ranks
         max_count = int(counts.max())
@@ -198,18 +180,6 @@ class ArbitraryNQueue(BaseCasQueue):
             raw = lane_base[active] + t
             phys = self._phys(raw)
             if self.circular:
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "full_wait", self.prefix)
-                while True:
-                    vread = MemRead(self.buf_valid, phys)
-                    yield vread
-                    if np.all(vread.result == 0):
-                        break
-                    stats.custom[K_CAS_ROUNDS] += 1
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-            if probe is not None:
-                probe.queue_store(self.prefix, raw, tokens[active, t])
-            yield MemWrite(self.buf_data, phys, tokens[active, t])
-            yield MemWrite(self.buf_valid, phys, 1)
+                yield from self._await_release(ctx, phys)
+            yield from self._fill(ctx, raw, phys, tokens[active, t])
         stats.custom[K_ENQ_TOKENS] += int(total)

@@ -37,7 +37,7 @@ from typing import Generator, Iterable, Optional
 
 import numpy as np
 
-from repro.simt import GlobalMemory, KernelContext, MemRead, Op
+from repro.simt import Abort, GlobalMemory, KernelContext, MemRead, Op
 from repro.simt.memory import MemoryFault
 
 from .constants import DNA, FRONT, REAR
@@ -53,8 +53,29 @@ K_PROXY_ATOMICS = "queue.proxy_atomics"        # aggregated global atomics
 K_ARRIVAL_CHECKS = "queue.arrival_checks"      # RF/AN slot polls
 
 
+#: control word -> (probe counter name, reservation direction)
+_WORD_NAMES = {FRONT: ("front", "acquire"), REAR: ("rear", "publish")}
+
+
 class QueueFull(Exception):
     """Host-visible queue-full abort (paper footnote 2: not retryable)."""
+
+
+def queue_full(
+    reason: str, queue: str, capacity: int, fill: int,
+    shard: Optional[int] = None,
+) -> Abort:
+    """The kernel-side queue-full abort every queue variant yields.
+
+    ``info`` is what :class:`~repro.simt.errors.QueueFullError`, the
+    post-mortem writer and the capacity advisor read: the aborting
+    queue's prefix, its capacity, the fill level seen at the failure
+    and, for a sharded queue, the shard.
+    """
+    info = {"queue": queue, "capacity": capacity, "fill": fill}
+    if shard is not None:
+        info["shard"] = shard
+    return Abort(reason, info=info)
 
 
 class DeviceQueue(abc.ABC):
@@ -184,6 +205,37 @@ class DeviceQueue(abc.ABC):
     def _read_ctrl(self) -> MemRead:
         """One coalesced read of (Front, Rear)."""
         return MemRead(self.buf_ctrl, np.array([FRONT, REAR], dtype=np.int64))
+
+    def _full(
+        self, detail: str, fill: int, capacity: Optional[int] = None
+    ) -> Abort:
+        """This queue's queue-full abort: ``queue full: queue '<prefix>'
+        <detail>`` (``capacity`` defaults to the slot count)."""
+        if capacity is None:
+            capacity = self.capacity
+        return queue_full(
+            f"queue full: queue {self.prefix!r} {detail}",
+            self.prefix, capacity, fill,
+        )
+
+    def _sampled(self, probe, ctrl: MemRead) -> tuple:
+        """Decode a completed :meth:`_read_ctrl` into ``(front, rear)``
+        and report both samples to ``probe``."""
+        front, rear = int(ctrl.result[0]), int(ctrl.result[1])
+        if probe is not None:
+            probe.queue_counter(self.prefix, "front", probe.now, front)
+            probe.queue_counter(self.prefix, "rear", probe.now, rear)
+        return front, rear
+
+    def _announce(self, ctx: KernelContext, word: int, base: int, n: int) -> None:
+        """Report a won reservation of ``n`` raw slots from ``base`` on
+        control ``word`` (``FRONT``/``REAR``) to the launch's probe: the
+        word's new value, the proxy aggregation and the reservation."""
+        probe = self._probe(ctx)
+        name, direction = _WORD_NAMES[word]
+        probe.queue_counter(self.prefix, name, probe.now, base + n)
+        probe.queue_proxy(self.prefix, direction, n)
+        probe.queue_reserve(self.prefix, direction, base, n)
 
     def _probe(self, ctx: KernelContext) -> Optional[object]:
         """The launch's observability probe (None almost always).

@@ -90,7 +90,7 @@ class BaseCasQueue(DeviceQueue):
     ) -> Generator[Op, Op, None]:
         """One dequeue attempt per hungry lane per work cycle.
 
-        A lane that wins the Front CAS parks its claimed slot in
+        A lane that wins its :meth:`_claim` parks the claimed slot in
         ``st.slot`` and completes the hand-off (valid-flag poll + data
         read) on this or a later cycle; a lane whose CAS fails, or that
         saw an empty queue, simply remains hungry — Algorithm 1's outer
@@ -98,81 +98,9 @@ class BaseCasQueue(DeviceQueue):
         """
         stats = ctx.stats
         probe = self._probe(ctx)
-
-        # 1. per-lane CAS ticket claims, one attempt per work cycle.
-        #
-        #    Each hungry lane executes
-        #        old = load(front)
-        #        if (old + my_rank >= rear) -> queue-empty exception
-        #        CAS(&front, old + my_rank, old + my_rank + 1)
-        #    i.e. the standard *speculative ticket* formulation of a
-        #    per-thread CAS dequeue on SIMT hardware: a lane speculates
-        #    that the hungry lanes before it in the wavefront will claim
-        #    the preceding entries, so uncontended wavefronts feed all
-        #    their lanes in one chained burst.  A totally naive
-        #    same-expected CAS loop convoys catastrophically under
-        #    lock-step execution (every round feeds at most one lane) —
-        #    far beyond the BASE slowdowns the paper reports — so this is
-        #    the charitable traditional baseline; see DESIGN.md §7.
-        #    Interference from other wavefronts between the load and the
-        #    CAS burst still fails the speculation, and those failures
-        #    (Figure 1) grow with the number of active wavefronts.
         n = st.n_hungry
         if n:
-            attempting = st.hungry_mask()
-            stats.custom[K_DEQ_REQUESTS] += n
-            if probe is not None:
-                probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-            ctrl = self._read_ctrl()
-            yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, front)
-                probe.queue_counter(self.prefix, "rear", probe.now, rear)
-            avail = rear - front
-            ranks, _ = rank_within(attempting)
-            live = attempting & (ranks < avail)
-            starved = int(attempting.sum() - live.sum())
-            if starved:
-                # queue-empty exception: these lanes give up this work
-                # cycle and retry on the next one (§3.2 / §6.5).
-                stats.custom[K_EMPTY_EXC] += starved
-                if probe is not None:
-                    probe.queue_instant(self.prefix, "empty", probe.now, starved)
-            if live.any():
-                lanes = np.flatnonzero(live)
-                exp = front + ranks[lanes]
-                op = AtomicRMW(
-                    self.buf_ctrl,
-                    np.full(lanes.size, FRONT, dtype=np.int64),
-                    AtomicKind.CAS,
-                    exp,
-                    exp + 1,
-                )
-                yield op
-                won = op.success
-                if won.any():
-                    win_lanes = lanes[won]
-                    st.watch(win_lanes, exp[won])
-                    if probe is not None:
-                        # the winning tickets of one CAS burst are always
-                        # a contiguous run from the Front value current
-                        # at service time (the atomic unit serializes the
-                        # burst, and each win advances the word by one).
-                        probe.queue_reserve(
-                            self.prefix, "acquire",
-                            int(exp[won][0]), int(won.sum()),
-                        )
-                        probe.queue_watch(self.prefix, exp[won], probe.now)
-                if not won.all():
-                    # failed speculation: retry next work cycle (counted
-                    # as retry traffic; engine counted the CAS failures)
-                    stats.custom[K_CAS_ROUNDS] += 1
-                    if probe is not None:
-                        probe.queue_instant(
-                            self.prefix, "cas_retry", probe.now,
-                            int((~won).sum()),
-                        )
+            yield from self._claim(ctx, st, n)
 
         # 2. hand-off: poll valid flags of every claimed slot once per
         #    work cycle; producers may still be writing.
@@ -207,6 +135,80 @@ class BaseCasQueue(DeviceQueue):
                     probe.queue_instant(
                         self.prefix, "handoff_spin", probe.now, int(lanes.size)
                     )
+
+    def _claim(
+        self, ctx: KernelContext, st: WavefrontQueueState, n: int
+    ) -> Generator[Op, Op, None]:
+        """Per-lane CAS ticket claims for the ``n`` hungry lanes, one
+        attempt per work cycle; winners start watching their slot.
+
+        Each hungry lane executes
+            old = load(front)
+            if (old + my_rank >= rear) -> queue-empty exception
+            CAS(&front, old + my_rank, old + my_rank + 1)
+        i.e. the standard *speculative ticket* formulation of a
+        per-thread CAS dequeue on SIMT hardware: a lane speculates that
+        the hungry lanes before it in the wavefront will claim the
+        preceding entries, so uncontended wavefronts feed all their lanes
+        in one chained burst.  A totally naive same-expected CAS loop
+        convoys catastrophically under lock-step execution (every round
+        feeds at most one lane) — far beyond the BASE slowdowns the paper
+        reports — so this is the charitable traditional baseline; see
+        DESIGN.md §7.  Interference from other wavefronts between the
+        load and the CAS burst still fails the speculation, and those
+        failures (Figure 1) grow with the number of active wavefronts.
+        """
+        stats = ctx.stats
+        probe = ctx.probe
+        attempting = st.hungry_mask()
+        stats.custom[K_DEQ_REQUESTS] += n
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
+        ctrl = self._read_ctrl()
+        yield ctrl
+        front, rear = self._sampled(probe, ctrl)
+        avail = rear - front
+        ranks, _ = rank_within(attempting)
+        live = attempting & (ranks < avail)
+        starved = int(attempting.sum() - live.sum())
+        if starved:
+            # queue-empty exception: these lanes give up this work
+            # cycle and retry on the next one (§3.2 / §6.5).
+            stats.custom[K_EMPTY_EXC] += starved
+            if probe is not None:
+                probe.queue_instant(self.prefix, "empty", probe.now, starved)
+        if not live.any():
+            return
+        lanes = np.flatnonzero(live)
+        exp = front + ranks[lanes]
+        op = AtomicRMW(
+            self.buf_ctrl,
+            np.full(lanes.size, FRONT, dtype=np.int64),
+            AtomicKind.CAS,
+            exp,
+            exp + 1,
+        )
+        yield op
+        won = op.success
+        if won.any():
+            st.watch(lanes[won], exp[won])
+            if probe is not None:
+                # the winning tickets of one CAS burst are always a
+                # contiguous run from the Front value current at service
+                # time (the atomic unit serializes the burst, and each
+                # win advances the word by one).
+                probe.queue_reserve(
+                    self.prefix, "acquire", int(exp[won][0]), int(won.sum()),
+                )
+                probe.queue_watch(self.prefix, exp[won], probe.now)
+        if not won.all():
+            # failed speculation: retry next work cycle (counted as retry
+            # traffic; engine counted the CAS failures)
+            stats.custom[K_CAS_ROUNDS] += 1
+            if probe is not None:
+                probe.queue_instant(
+                    self.prefix, "cas_retry", probe.now, int((~won).sum()),
+                )
 
     # ------------------------------------------------------------------
     def publish(
@@ -251,22 +253,10 @@ class BaseCasQueue(DeviceQueue):
             first_round = False
             ctrl = self._read_ctrl()
             yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, front)
-                probe.queue_counter(self.prefix, "rear", probe.now, rear)
+            front, rear = self._sampled(probe, ctrl)
             ranks, n_round = rank_within(pending)
             if self._is_full(front, rear, n_round):
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} fill "
-                    f"{rear - front}/{self.capacity} (rear={rear} "
-                    f"front={front} need={n_round})",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": rear - front,
-                    },
-                )
+                yield self._full_at(front, rear, n_round)
             lanes = np.flatnonzero(pending)
             exp = rear + ranks[lanes]
             op = AtomicRMW(
@@ -294,22 +284,46 @@ class BaseCasQueue(DeviceQueue):
                     self.prefix, "publish", int(raw[0]), int(raw.size)
                 )
             if self.circular:
-                # wait for previous-generation consumers to release the
-                # physical slots before overwriting them.
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "full_wait", self.prefix)
-                while True:
-                    vread = MemRead(self.buf_valid, phys)
-                    yield vread
-                    if not (vread.result == 1).any():
-                        break
-                    stats.custom[K_CAS_ROUNDS] += 1
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-            toks = tokens[win_lanes, placed[win_lanes]]
-            if probe is not None:
-                probe.queue_store(self.prefix, raw, toks)
-            yield MemWrite(self.buf_data, phys, toks)
-            yield MemWrite(self.buf_valid, phys, 1)
+                yield from self._await_release(ctx, phys)
+            yield from self._fill(
+                ctx, raw, phys, tokens[win_lanes, placed[win_lanes]]
+            )
             placed[win_lanes] += 1
             stats.custom[K_ENQ_TOKENS] += int(win_lanes.size)
+
+    # ------------------------------------------------------------------
+    # publish steps shared with AN
+    # ------------------------------------------------------------------
+    def _full_at(self, front: int, rear: int, need: int) -> Abort:
+        return self._full(
+            f"fill {rear - front}/{self.capacity} (rear={rear} "
+            f"front={front} need={need})",
+            rear - front,
+        )
+
+    def _await_release(
+        self, ctx: KernelContext, phys
+    ) -> Generator[Op, Op, None]:
+        """Circular ring: wait until previous-generation consumers have
+        released (cleared the valid flag of) every target slot."""
+        probe = ctx.probe
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "full_wait", self.prefix)
+        while True:
+            vread = MemRead(self.buf_valid, phys)
+            yield vread
+            if not (vread.result == 1).any():
+                break
+            ctx.stats.custom[K_CAS_ROUNDS] += 1
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
+
+    def _fill(
+        self, ctx: KernelContext, raw: np.ndarray, phys, toks: np.ndarray
+    ) -> Generator[Op, Op, None]:
+        """Publish reserved slots: write the tokens, then raise the valid
+        flags (the publication order consumers rely on)."""
+        if ctx.probe is not None:
+            ctx.probe.queue_store(self.prefix, raw, toks)
+        yield MemWrite(self.buf_data, phys, toks)
+        yield MemWrite(self.buf_valid, phys, 1)

@@ -26,7 +26,7 @@ many entries move — the arbitrary-n property.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -56,7 +56,16 @@ from .state import WavefrontQueueState
 
 
 class RetryFreeQueue(DeviceQueue):
-    """The proposed retry-free / arbitrary-n queue."""
+    """The proposed retry-free / arbitrary-n queue.
+
+    The protocol is four steps, each implemented once and reused by the
+    adaptive, sharded and planted-bug variants: :meth:`_reserve`
+    (Listing 1), :meth:`_take` (Listing 2's grant and ``dna`` restore),
+    :meth:`_advance` (the proxy fetch-add of Listings 1 and 3) and
+    :meth:`_store` (Listing 3's sentinel-checked store).  ``acquire``
+    keeps the data-arrival poll inline: it runs every work cycle of every
+    starved wavefront.
+    """
 
     variant = "RF/AN"
     retry_free = True
@@ -73,26 +82,7 @@ class RetryFreeQueue(DeviceQueue):
         # --- Listing 1: slot reservation for newly hungry lanes --------
         n_hungry = st.wavefront_size - st.n_token - st.n_watching
         if n_hungry:
-            hungry = st.hungry_mask()
-            custom[K_DEQ_REQUESTS] += n_hungry
-            if probe is not None:
-                probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-            ranks, total = rank_within(hungry)
-            # lock-step local atomic_inc: zeroing by the proxy + per-lane
-            # increment, one LDS round (lines 2-9 of Listing 1).
-            yield LocalOp(ctx.device.lds_op_cycles)
-            # proxy thread reserves `total` slots with one AFA (line 13).
-            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total)
-            yield op
-            custom[K_PROXY_ATOMICS] += 1
-            base = int(op.old[0])
-            lanes = np.flatnonzero(hungry)
-            st.watch(lanes, base + ranks[lanes])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, base + total)
-                probe.queue_proxy(self.prefix, "acquire", total)
-                probe.queue_reserve(self.prefix, "acquire", base, total)
-                probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
+            yield from self._reserve(ctx, st, n_hungry)
 
         # --- Listing 2: data-arrival poll for every watching lane ------
         if st.n_watching == 0:
@@ -141,21 +131,7 @@ class RetryFreeQueue(DeviceQueue):
             if probe is not None:
                 probe.queue_instant(self.prefix, "empty_poll", probe.now, n_lanes)
             return
-        arrived = res != DNA
-        got_lanes = lanes[arrived]
-        tokens = res[arrived]
-        # pick up the token and put the sentinel back so the slot can be
-        # reused when the queue is configured circular (§4.2).  The
-        # probe events fire at the restore write's issue, i.e. strictly
-        # before any later wrap-around producer can observe the restored
-        # sentinel — the ordering the verification oracle relies on.
-        if probe is not None:
-            probe.queue_grant(self.prefix, st.slot[got_lanes], probe.now)
-            probe.queue_deliver(self.prefix, st.slot[got_lanes], tokens)
-        yield MemWrite(self.buf_data, phys[arrived], DNA)
-        st.unwatch(got_lanes)
-        st.grant(got_lanes, tokens)
-        custom[K_DEQ_TOKENS] += int(got_lanes.size)
+        yield from self._take(ctx, st, lanes, phys, res)
 
     def publish(
         self,
@@ -164,8 +140,6 @@ class RetryFreeQueue(DeviceQueue):
         counts: np.ndarray,
         tokens: np.ndarray,
     ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
         counts = np.asarray(counts, dtype=np.int64)
         has_new = counts > 0
         if not has_new.any():
@@ -176,21 +150,13 @@ class RetryFreeQueue(DeviceQueue):
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
         ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
+        yield LocalOp(ctx.device.lds_op_cycles)
 
         # --- line 15: proxy reserves `total` entries with one AFA ------
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, total)
-        yield op
-        stats.custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", base, total)
+        base = yield from self._advance(ctx, REAR, total)
 
         # --- lines 24-27: lock-step copy, one sub-iteration per token
-        # rank within the busiest lane.  Each iteration checks the target
-        # slot still holds the sentinel, then overwrites it.
+        # rank within the busiest lane.
         max_count = int(counts.max())
         lane_base = base + ranks
         for t in range(max_count):
@@ -200,34 +166,117 @@ class RetryFreeQueue(DeviceQueue):
             if oob.any():
                 # enqueue must never store out of bounds (§4.3); a
                 # monotonic queue that ran past capacity is full.
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} raw index "
-                    f"{int(raw[oob][0])} beyond capacity {self.capacity} "
-                    f"(fill {int(raw[oob][0])}/{self.capacity})",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        "fill": int(raw[oob][0]),
-                    },
+                x = int(raw[oob][0])
+                yield self._full(
+                    f"raw index {x} beyond capacity {self.capacity} "
+                    f"(fill {x}/{self.capacity})",
+                    x,
                 )
-            phys = self._phys(raw)
-            check = MemRead(self.buf_data, phys)
-            yield check
-            if np.any(check.result != DNA):
-                yield Abort(
-                    f"queue full: queue {self.prefix!r} target slot not "
-                    f"data-not-arrived (Listing 3 line 25; ring fill "
-                    f"{self.capacity}/{self.capacity})",
-                    info={
-                        "queue": self.prefix,
-                        "capacity": self.capacity,
-                        # the overwritten slot still holds live data, so
-                        # the physical ring is at capacity.
-                        "fill": self.capacity,
-                    },
-                )
-            vals = tokens[active, t]
-            if probe is not None:
-                probe.queue_store(self.prefix, raw, vals)
-            yield MemWrite(self.buf_data, phys, vals)
-        stats.custom[K_ENQ_TOKENS] += int(total)
+            yield from self._store(
+                ctx, raw, self._phys(raw), tokens[active, t], self._ring_full
+            )
+        ctx.stats.custom[K_ENQ_TOKENS] += int(total)
+
+    # ------------------------------------------------------------------
+    # protocol steps
+    # ------------------------------------------------------------------
+    def _reserve(
+        self, ctx: KernelContext, st: WavefrontQueueState, n_hungry: int
+    ) -> Generator[Op, Op, None]:
+        """Listing 1: park every hungry lane on its own fresh slot."""
+        probe = ctx.probe
+        hungry = st.hungry_mask()
+        ctx.stats.custom[K_DEQ_REQUESTS] += n_hungry
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
+        ranks, total = rank_within(hungry)
+        # lock-step local atomic_inc: zeroing by the proxy + per-lane
+        # increment, one LDS round (lines 2-9 of Listing 1).
+        yield LocalOp(ctx.device.lds_op_cycles)
+        # proxy thread reserves `total` slots with one AFA (line 13).
+        base = yield from self._advance(ctx, FRONT, total)
+        lanes = np.flatnonzero(hungry)
+        st.watch(lanes, base + ranks[lanes])
+        if probe is not None:
+            probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
+
+    def _advance(
+        self, ctx: KernelContext, word: int, n: int
+    ) -> Generator[Op, Op, int]:
+        """The proxy lane's fetch-add of ``n`` on control ``word``
+        (``Front``: Listing 1 line 13; ``Rear``: Listing 3 line 15).  It
+        cannot fail; returns the first reserved raw index."""
+        op = AtomicRMW(self.buf_ctrl, word, AtomicKind.ADD, n)
+        yield op
+        ctx.stats.custom[K_PROXY_ATOMICS] += 1
+        base = int(op.old[0])
+        if ctx.probe is not None:
+            self._announce(ctx, word, base, n)
+        return base
+
+    def _take(
+        self,
+        ctx: KernelContext,
+        st: WavefrontQueueState,
+        lanes: np.ndarray,
+        phys: np.ndarray,
+        res: np.ndarray,
+    ) -> Generator[Op, Op, np.ndarray]:
+        """Listing 2's grant: watching ``lanes`` (polling slots ``phys``,
+        which read ``res``) whose token arrived pick it up and put the
+        ``dna`` sentinel back, so the slot can be reused when the queue
+        is circular (§4.2).  Returns the granted raw slots.
+
+        The probe events fire at the restore write's issue, i.e.
+        strictly before any later wrap-around producer can observe the
+        restored sentinel — the ordering the verification oracle relies
+        on.
+        """
+        arrived = res != DNA
+        got_lanes = lanes[arrived]
+        tokens = res[arrived]
+        raw = st.slot[got_lanes]
+        probe = ctx.probe
+        if probe is not None:
+            probe.queue_grant(self.prefix, raw, probe.now)
+            probe.queue_deliver(self.prefix, raw, tokens)
+        yield MemWrite(self.buf_data, phys[arrived], DNA)
+        st.unwatch(got_lanes)
+        st.grant(got_lanes, tokens)
+        ctx.stats.custom[K_DEQ_TOKENS] += int(got_lanes.size)
+        return raw
+
+    def _store(
+        self,
+        ctx: KernelContext,
+        raw: np.ndarray,
+        phys,
+        vals: np.ndarray,
+        taken: Callable[[np.ndarray], Abort],
+        reinject: bool = False,
+    ) -> Generator[Op, Op, None]:
+        """Listing 3 lines 25-27: check that every target slot (raw
+        indices ``raw`` at physical ``phys``) still holds the sentinel,
+        then store ``vals``.  A slot holding data is a queue-full
+        exception that aborts the kernel with ``taken(raw_of_bad)``.
+        ``reinject`` reports the store as a spill re-publication."""
+        check = MemRead(self.buf_data, phys)
+        yield check
+        bad = check.result != DNA
+        if bad.any():
+            yield taken(raw[bad])
+        probe = ctx.probe
+        if probe is not None:
+            if reinject:
+                probe.queue_reinject(self.prefix, raw, vals)
+            probe.queue_store(self.prefix, raw, vals)
+        yield MemWrite(self.buf_data, phys, vals)
+
+    def _ring_full(self, bad: np.ndarray) -> Abort:
+        # the overwritten slot still holds live data, so the physical
+        # ring is at capacity.
+        return self._full(
+            f"target slot not data-not-arrived (Listing 3 line 25; ring "
+            f"fill {self.capacity}/{self.capacity})",
+            self.capacity,
+        )

@@ -83,6 +83,7 @@ from .queue_api import (
     K_ARRIVAL_CHECKS,
     K_CAS_ROUNDS,
     K_PROXY_ATOMICS,
+    queue_full,
 )
 from .queue_an import ArbitraryNQueue
 from .queue_base_cas import BaseCasQueue
@@ -407,10 +408,7 @@ class ShardedQueue(DeviceQueue):
             return
         custom[self._k_steal_batch[m]] += 1
         if probe is not None:
-            v._probe(ctx)  # ensure the victim is registered
-            probe.queue_counter(v.prefix, "front", probe.now, front + m)
-            probe.queue_proxy(v.prefix, "acquire", m)
-            probe.queue_reserve(v.prefix, "acquire", front, m)
+            v._announce(ctx, FRONT, front, m)
 
         # 3. the claimed range is enqueue-reserved (rear covered it and
         #    Front had not passed it), so every store is on its way: poll
@@ -448,34 +446,26 @@ class ShardedQueue(DeviceQueue):
     def _republish(
         self,
         ctx: KernelContext,
-        h: DeviceQueue,
-        v: DeviceQueue,
+        h: RetryFreeQueue,
+        v: RetryFreeQueue,
         src_raw: np.ndarray,
         src_phys: np.ndarray,
         tokens: np.ndarray,
     ) -> Generator[Op, Op, None]:
         """Move ``tokens`` (already claimed and read from victim ``v``)
         into fresh slots of home shard ``h``: AFA-reserve at the home
-        Rear, restore ``dna`` at the victim, then store the batch via
-        the inner queue's sentinel-checked publish-side path.
+        Rear, restore ``dna`` at the victim, then store the batch with
+        the inner queue's sentinel-checked store (Listing 3).
 
         Split out so the planted-bug fixtures of ``repro.verify.faults``
         can sabotage exactly this window."""
-        custom = ctx.stats.custom
         probe = ctx.probe
         m = int(tokens.size)
         home = ctx.wf_id % self.n_shards
 
-        op = AtomicRMW(h.buf_ctrl, REAR, AtomicKind.ADD, m)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        hbase = int(op.old[0])
+        hbase = yield from h._advance(ctx, REAR, m)
         dst_raw = np.arange(hbase, hbase + m, dtype=np.int64)
         if probe is not None:
-            h._probe(ctx)
-            probe.queue_counter(h.prefix, "rear", probe.now, hbase + m)
-            probe.queue_proxy(h.prefix, "publish", m)
-            probe.queue_reserve(h.prefix, "publish", hbase, m)
             # announce the transfer before the victim-side delivery so
             # the multi-queue oracle can classify the delivery as a
             # transfer rather than a lane consumption.
@@ -490,47 +480,35 @@ class ShardedQueue(DeviceQueue):
         # store at home with the inner queue's full-queue checks.
         oob = ~h._in_bounds(dst_raw)
         if oob.any():
-            yield Abort(
-                f"queue full: steal republish raw index "
-                f"{int(dst_raw[oob][0])} beyond capacity {h.capacity} "
-                f"on shard {home} ({h.prefix!r}, fill "
-                f"{int(dst_raw[oob][0])}/{h.capacity})",
-                info={
-                    "queue": h.prefix,
-                    "capacity": h.capacity,
-                    "fill": int(dst_raw[oob][0]),
-                    "shard": home,
-                },
+            x = int(dst_raw[oob][0])
+            yield queue_full(
+                f"queue full: steal republish raw index {x} beyond "
+                f"capacity {h.capacity} on shard {home} ({h.prefix!r}, "
+                f"fill {x}/{h.capacity})",
+                h.prefix, h.capacity, x, shard=home,
             )
         dst_phys = np.asarray(h._phys(dst_raw), dtype=np.int64)
-        check = MemRead(h.buf_data, dst_phys)
-        yield check
-        if np.any(check.result != DNA):
-            yield Abort(
-                "queue full: steal republish target slot not "
-                f"data-not-arrived on shard {home} ({h.prefix!r}, ring "
-                f"fill {h.capacity}/{h.capacity})",
-                info={
-                    "queue": h.prefix,
-                    "capacity": h.capacity,
-                    "fill": h.capacity,
-                    "shard": home,
-                },
-            )
         yield from self._store_batch(ctx, h, dst_raw, dst_phys, tokens)
 
     def _store_batch(
         self,
         ctx: KernelContext,
-        h: DeviceQueue,
+        h: RetryFreeQueue,
         dst_raw: np.ndarray,
         dst_phys: np.ndarray,
         tokens: np.ndarray,
     ) -> Generator[Op, Op, None]:
         """Land a transferred batch in its reserved home slots (the final
-        store step of :meth:`_republish`; a separate method so fault
-        fixtures can drop individual stores)."""
-        probe = ctx.probe
-        if probe is not None:
-            probe.queue_store(h.prefix, dst_raw, tokens)
-        yield MemWrite(h.buf_data, dst_phys, tokens)
+        step of :meth:`_republish`, naming the home shard in its
+        queue-full abort; fault fixtures drop individual stores here)."""
+        home = ctx.wf_id % self.n_shards
+
+        def taken(bad: np.ndarray) -> Abort:
+            return queue_full(
+                "queue full: steal republish target slot not "
+                f"data-not-arrived on shard {home} ({h.prefix!r}, ring "
+                f"fill {h.capacity}/{h.capacity})",
+                h.prefix, h.capacity, h.capacity, shard=home,
+            )
+
+        yield from h._store(ctx, dst_raw, dst_phys, tokens, taken)

@@ -38,10 +38,10 @@ from repro.core.queue_api import (
     K_ENQ_TOKENS,
     K_PROXY_ATOMICS,
     QueueFull,
+    queue_full,
 )
 from repro.core.state import WavefrontQueueState
 from repro.simt import (
-    Abort,
     AtomicKind,
     AtomicRMW,
     GlobalMemory,
@@ -246,16 +246,12 @@ class DistributedWorkQueues(DeviceQueue):
                 else rear + total > self.capacity
             )
             if full:
-                yield Abort(
+                yield queue_full(
                     f"distributed queue {q} full: fill "
                     f"{rear - front}/{self.capacity} (rear={rear} "
                     f"front={front} need={total})",
-                    info={
-                        "queue": f"{self.prefix}.{q}",
-                        "capacity": self.capacity,
-                        "fill": rear - front,
-                        "shard": q,
-                    },
+                    f"{self.prefix}.{q}", self.capacity, rear - front,
+                    shard=q,
                 )
             op = AtomicRMW(self._ctrl(q), REAR, AtomicKind.CAS, rear, rear + total)
             yield op

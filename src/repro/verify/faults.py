@@ -73,158 +73,56 @@ from typing import Generator
 
 import numpy as np
 
-from repro.core.constants import DNA, FRONT, REAR
-from repro.core.queue_api import (
-    K_ARRIVAL_CHECKS,
-    K_CAS_ROUNDS,
-    K_DEQ_REQUESTS,
-    K_DEQ_TOKENS,
-    K_ENQ_TOKENS,
-    K_PROXY_ATOMICS,
-)
+from repro.core.constants import DNA, FRONT
 from repro.core.queue_adaptive import GrowQueue, SpillQueue
+from repro.core.queue_api import K_DEQ_TOKENS
 from repro.core.queue_base_cas import BaseCasQueue
 from repro.core.queue_rfan import RetryFreeQueue
 from repro.core.queue_sharded import ShardedQueue
-from repro.simt import (
-    Abort,
-    AtomicKind,
-    AtomicRMW,
-    KernelContext,
-    LocalOp,
-    MemRead,
-    MemWrite,
-    Op,
-)
-from repro.simt.engine import transactions_for
-from repro.simt.lanes import rank_within, segmented_rank
-from repro.core.state import WavefrontQueueState
+from repro.simt import MemWrite, Op
+
+
+def _store_dropping(store, ctx, raw, phys, vals, rest, drop: int):
+    """Run the store step ``store`` without element ``drop``: that
+    token's slot write never reaches memory (nor the probe)."""
+    keep = np.ones(raw.size, dtype=bool)
+    keep[drop] = False
+    if keep.any():
+        yield from store(
+            ctx, raw[keep], np.asarray(phys)[keep], vals[keep], *rest
+        )
 
 
 class SkipDnaRestoreQueue(RetryFreeQueue):
     """RF/AN whose consumers never restore the ``dna`` sentinel."""
 
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = self._probe(ctx)
-        n_hungry = st.n_hungry
-        if n_hungry:
-            hungry = st.hungry_mask()
-            custom[K_DEQ_REQUESTS] += n_hungry
-            ranks, total = rank_within(hungry)
-            yield LocalOp(ctx.device.lds_op_cycles)
-            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total)
-            yield op
-            custom[K_PROXY_ATOMICS] += 1
-            base = int(op.old[0])
-            lanes = np.flatnonzero(hungry)
-            st.watch(lanes, base + ranks[lanes])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, base + total)
-                probe.queue_proxy(self.prefix, "acquire", total)
-                probe.queue_reserve(self.prefix, "acquire", base, total)
-                probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
-
-        if st.n_watching == 0:
-            return
-        if st.cache is None:
-            watching = st.slot >= 0
-            raw = st.slot[watching]
-            inb = self._in_bounds(raw)
-            lanes = np.flatnonzero(watching)[inb]
-            phys = np.asarray(self._phys(raw[inb]), dtype=np.int64)
-            trans = transactions_for(phys) if phys.size else 0
-            read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
-            st.cache = (lanes, phys, read)
-        lanes, phys, read = st.cache
-        if lanes.size == 0:
-            return
-        yield read
-        custom[K_ARRIVAL_CHECKS] += int(lanes.size)
-        res = read.result
-        if int(res.max()) == DNA:
-            return
+    def _take(self, ctx, st, lanes, phys, res) -> Generator[Op, Op, np.ndarray]:
         arrived = res != DNA
         got_lanes = lanes[arrived]
         tokens = res[arrived]
+        raw = st.slot[got_lanes]
+        probe = ctx.probe
+        if probe is not None:
+            probe.queue_grant(self.prefix, raw, probe.now)
+            probe.queue_deliver(self.prefix, raw, tokens)
         # BUG: the sentinel write-back (Listing 2's `slot = dna`) is
         # missing — the token is taken but the slot still looks full.
-        if probe is not None:
-            probe.queue_grant(self.prefix, st.slot[got_lanes], probe.now)
-            probe.queue_deliver(self.prefix, st.slot[got_lanes], tokens)
         st.unwatch(got_lanes)
         st.grant(got_lanes, tokens)
-        custom[K_DEQ_TOKENS] += int(got_lanes.size)
+        ctx.stats.custom[K_DEQ_TOKENS] += int(got_lanes.size)
+        return raw
+        yield  # pragma: no cover - keeps this a generator
 
 
 class OverReserveQueue(RetryFreeQueue):
     """RF/AN whose proxy reserves one slot more than it needs."""
 
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = self._probe(ctx)
-        n_hungry = st.n_hungry
-        if n_hungry:
-            hungry = st.hungry_mask()
-            custom[K_DEQ_REQUESTS] += n_hungry
-            ranks, total = rank_within(hungry)
-            yield LocalOp(ctx.device.lds_op_cycles)
+    def _advance(self, ctx, word, n):
+        if word == FRONT:
             # BUG: off-by-one in the aggregated count — the proxy claims
-            # total + 1 slots but only `total` lanes park on them.
-            op = AtomicRMW(self.buf_ctrl, FRONT, AtomicKind.ADD, total + 1)
-            yield op
-            custom[K_PROXY_ATOMICS] += 1
-            base = int(op.old[0])
-            lanes = np.flatnonzero(hungry)
-            st.watch(lanes, base + ranks[lanes])
-            if probe is not None:
-                probe.queue_counter(
-                    self.prefix, "front", probe.now, base + total + 1
-                )
-                probe.queue_proxy(self.prefix, "acquire", total + 1)
-                probe.queue_reserve(self.prefix, "acquire", base, total + 1)
-                probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
-        # hand-off unchanged
-        yield from self._poll_arrivals(ctx, st)
-
-    def _poll_arrivals(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
-        probe = self._probe(ctx)
-        if st.n_watching == 0:
-            return
-        if st.cache is None:
-            watching = st.slot >= 0
-            raw = st.slot[watching]
-            inb = self._in_bounds(raw)
-            lanes = np.flatnonzero(watching)[inb]
-            phys = np.asarray(self._phys(raw[inb]), dtype=np.int64)
-            trans = transactions_for(phys) if phys.size else 0
-            read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
-            st.cache = (lanes, phys, read)
-        lanes, phys, read = st.cache
-        if lanes.size == 0:
-            return
-        yield read
-        custom[K_ARRIVAL_CHECKS] += int(lanes.size)
-        res = read.result
-        if int(res.max()) == DNA:
-            return
-        arrived = res != DNA
-        got_lanes = lanes[arrived]
-        tokens = res[arrived]
-        if probe is not None:
-            probe.queue_grant(self.prefix, st.slot[got_lanes], probe.now)
-            probe.queue_deliver(self.prefix, st.slot[got_lanes], tokens)
-        yield MemWrite(self.buf_data, phys[arrived], DNA)
-        st.unwatch(got_lanes)
-        st.grant(got_lanes, tokens)
-        custom[K_DEQ_TOKENS] += int(got_lanes.size)
+            # n + 1 slots but only n lanes park on them.
+            n += 1
+        return (yield from super()._advance(ctx, word, n))
 
 
 class LostStoreQueue(RetryFreeQueue):
@@ -234,63 +132,17 @@ class LostStoreQueue(RetryFreeQueue):
         super().__init__(*args, **kwargs)
         self._dropped = False
 
-    def publish(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
-        counts = np.asarray(counts, dtype=np.int64)
-        has_new = counts > 0
-        if not has_new.any():
+    def _store(self, ctx, raw, phys, vals, *rest):
+        if self._dropped:
+            yield from super()._store(ctx, raw, phys, vals, *rest)
             return
-        ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
-        op = AtomicRMW(self.buf_ctrl, REAR, AtomicKind.ADD, total)
-        yield op
-        stats.custom[K_PROXY_ATOMICS] += 1
-        base = int(op.old[0])
-        probe = self._probe(ctx)
-        if probe is not None:
-            probe.queue_counter(self.prefix, "rear", probe.now, base + total)
-            probe.queue_proxy(self.prefix, "publish", total)
-            probe.queue_reserve(self.prefix, "publish", base, total)
-
-        max_count = int(counts.max())
-        lane_base = base + ranks
-        for t in range(max_count):
-            active = counts > t
-            raw = lane_base[active] + t
-            oob = ~self._in_bounds(raw)
-            if oob.any():
-                yield Abort(
-                    f"queue full: raw index {int(raw[oob][0])} beyond "
-                    f"capacity {self.capacity}"
-                )
-            phys = self._phys(raw)
-            check = MemRead(self.buf_data, phys)
-            yield check
-            if np.any(check.result != DNA):
-                yield Abort(
-                    "queue full: target slot not data-not-arrived "
-                    "(Listing 3 line 25)"
-                )
-            vals = tokens[active, t]
-            keep = np.ones(raw.size, dtype=bool)
-            if not self._dropped:
-                # BUG: the first store of the launch never reaches
-                # memory (a masked-out lane, a lost write, a bad
-                # predicate) — the reservation stays forever empty.
-                self._dropped = True
-                keep[-1] = False
-            if keep.any():
-                if probe is not None:
-                    probe.queue_store(self.prefix, raw[keep], vals[keep])
-                yield MemWrite(self.buf_data, np.asarray(phys)[keep], vals[keep])
-        stats.custom[K_ENQ_TOKENS] += int(total)
+        # BUG: the first store of the launch never reaches memory (a
+        # masked-out lane, a lost write, a bad predicate) — the
+        # reservation stays forever empty.
+        self._dropped = True
+        yield from _store_dropping(
+            super()._store, ctx, raw, phys, vals, rest, raw.size - 1
+        )
 
 
 class ValidBeforeDataQueue(BaseCasQueue):
@@ -304,75 +156,13 @@ class ValidBeforeDataQueue(BaseCasQueue):
     exploration: the engine's native order never catches it.
     """
 
-    def publish(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        probe = self._probe(ctx)
-        counts = np.asarray(counts, dtype=np.int64)
-        if not (counts > 0).any():
-            return
-        placed = np.zeros_like(counts)
-        first_round = True
-        while True:
-            pending = counts > placed
-            if not pending.any():
-                break
-            if not first_round:
-                stats.custom[K_CAS_ROUNDS] += 1
-            first_round = False
-            ctrl = self._read_ctrl()
-            yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-            if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, front)
-                probe.queue_counter(self.prefix, "rear", probe.now, rear)
-            ranks, n_round = rank_within(pending)
-            if self._is_full(front, rear, n_round):
-                yield Abort(
-                    f"queue full: rear={rear} front={front} "
-                    f"need={n_round} capacity={self.capacity}"
-                )
-            lanes = np.flatnonzero(pending)
-            exp = rear + ranks[lanes]
-            op = AtomicRMW(
-                self.buf_ctrl,
-                np.full(lanes.size, REAR, dtype=np.int64),
-                AtomicKind.CAS,
-                exp,
-                exp + 1,
-            )
-            yield op
-            won = op.success
-            if not won.any():
-                continue
-            win_lanes = lanes[won]
-            raw = exp[won]
-            phys = self._phys(raw)
-            if probe is not None:
-                probe.queue_reserve(
-                    self.prefix, "publish", int(raw[0]), int(raw.size)
-                )
-            if self.circular:
-                while True:
-                    vread = MemRead(self.buf_valid, phys)
-                    yield vread
-                    if not (vread.result == 1).any():
-                        break
-                    stats.custom[K_CAS_ROUNDS] += 1
-            toks = tokens[win_lanes, placed[win_lanes]]
-            # BUG: flag first, data second — consumers that poll inside
-            # the window read a slot whose data has not arrived.
-            yield MemWrite(self.buf_valid, phys, 1)
-            if probe is not None:
-                probe.queue_store(self.prefix, raw, toks)
-            yield MemWrite(self.buf_data, phys, toks)
-            placed[win_lanes] += 1
-            stats.custom[K_ENQ_TOKENS] += int(win_lanes.size)
+    def _fill(self, ctx, raw, phys, toks):
+        # BUG: flag first, data second — consumers that poll inside the
+        # window read a slot whose data has not arrived.
+        yield MemWrite(self.buf_valid, phys, 1)
+        if ctx.probe is not None:
+            ctx.probe.queue_store(self.prefix, raw, toks)
+        yield MemWrite(self.buf_data, phys, toks)
 
 
 class StealDoubleDeliverQueue(ShardedQueue):
@@ -415,16 +205,17 @@ class StealLostTaskQueue(ShardedQueue):
         self._dropped = False
 
     def _store_batch(self, ctx, h, dst_raw, dst_phys, tokens):
-        if not self._dropped and tokens.size:
-            self._dropped = True
-            keep = np.ones(tokens.size, dtype=bool)
-            keep[-1] = False
-            if keep.any():
-                yield from super()._store_batch(
-                    ctx, h, dst_raw[keep], dst_phys[keep], tokens[keep]
-                )
+        if self._dropped or not tokens.size:
+            yield from super()._store_batch(ctx, h, dst_raw, dst_phys, tokens)
             return
-        yield from super()._store_batch(ctx, h, dst_raw, dst_phys, tokens)
+        # BUG: the last token of the first transferred batch is lost.
+        self._dropped = True
+        keep = np.ones(tokens.size, dtype=bool)
+        keep[-1] = False
+        if keep.any():
+            yield from super()._store_batch(
+                ctx, h, dst_raw[keep], dst_phys[keep], tokens[keep]
+            )
 
 
 class GrowLinkLostTaskQueue(GrowQueue):
@@ -441,21 +232,17 @@ class GrowLinkLostTaskQueue(GrowQueue):
         super().__init__(*args, **kwargs)
         self._dropped = False
 
-    def _store_batch(self, ctx, raw, phys, vals):
-        if not self._dropped:
-            beyond = raw // self.seg_cap >= 1
-            if beyond.any():
-                # BUG: the first store into a device-linked segment
-                # (segment 0 is host-mapped) never reaches memory.
-                self._dropped = True
-                keep = np.ones(raw.size, dtype=bool)
-                keep[int(np.flatnonzero(beyond)[0])] = False
-                if keep.any():
-                    yield from super()._store_batch(
-                        ctx, raw[keep], phys[keep], vals[keep]
-                    )
-                return
-        yield from super()._store_batch(ctx, raw, phys, vals)
+    def _store(self, ctx, raw, phys, vals, *rest):
+        beyond = np.flatnonzero(raw // self.seg_cap >= 1)
+        if self._dropped or not beyond.size:
+            yield from super()._store(ctx, raw, phys, vals, *rest)
+            return
+        # BUG: the first store into a device-linked segment (segment 0
+        # is host-mapped) never reaches memory.
+        self._dropped = True
+        yield from _store_dropping(
+            super()._store, ctx, raw, phys, vals, rest, int(beyond[0])
+        )
 
 
 class SpillReinjectDoubleDeliverQueue(SpillQueue):
