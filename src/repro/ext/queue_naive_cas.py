@@ -28,85 +28,55 @@ from repro.core.queue_api import (
 )
 from repro.core.queue_base_cas import BaseCasQueue
 from repro.core.state import WavefrontQueueState
-from repro.simt import AtomicKind, AtomicRMW, KernelContext, MemRead, MemWrite, Op
+from repro.simt import AtomicKind, AtomicRMW, KernelContext, Op
 
 
 class NaiveCasQueue(BaseCasQueue):
-    """Per-lane CAS with shared expected value: one winner per attempt."""
+    """Per-lane CAS with shared expected value: one winner per attempt.
+
+    Only the claim differs from BASE; the valid-flag hand-off is BASE's.
+    """
 
     variant = "NAIVE"
     retry_free = False
     arbitrary_n = False
 
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
+    def _claim(
+        self, ctx: KernelContext, st: WavefrontQueueState, n: int
     ) -> Generator[Op, Op, None]:
+        """One shared-expected CAS attempt per work cycle."""
         stats = ctx.stats
-        probe = self._probe(ctx)
-
-        # one shared-expected CAS attempt per work cycle
-        n = st.n_hungry
-        if n:
-            attempting = st.hungry_mask()
-            stats.custom[K_DEQ_REQUESTS] += n
+        probe = ctx.probe
+        attempting = st.hungry_mask()
+        stats.custom[K_DEQ_REQUESTS] += n
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
+        ctrl = self._read_ctrl()
+        yield ctrl
+        front, rear = self._sampled(probe, ctrl)
+        if rear - front <= 0:
+            stats.custom[K_EMPTY_EXC] += n
             if probe is not None:
-                probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-            ctrl = self._read_ctrl()
-            yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
+                probe.queue_instant(self.prefix, "empty", probe.now, n)
+            return
+        op = AtomicRMW(
+            self.buf_ctrl,
+            np.full(n, FRONT, dtype=np.int64),
+            AtomicKind.CAS,
+            front,
+            front + 1,
+        )
+        yield op
+        winners = np.flatnonzero(op.success)
+        if winners.size:
+            lane = np.flatnonzero(attempting)[winners[:1]]
+            st.watch(lane, np.array([front], dtype=np.int64))
             if probe is not None:
-                probe.queue_counter(self.prefix, "front", probe.now, front)
-                probe.queue_counter(self.prefix, "rear", probe.now, rear)
-            if rear - front <= 0:
-                stats.custom[K_EMPTY_EXC] += n
-                if probe is not None:
-                    probe.queue_instant(self.prefix, "empty", probe.now, n)
-            else:
-                op = AtomicRMW(
-                    self.buf_ctrl,
-                    np.full(n, FRONT, dtype=np.int64),
-                    AtomicKind.CAS,
-                    front,
-                    front + 1,
+                probe.queue_reserve(self.prefix, "acquire", front, 1)
+                probe.queue_watch(
+                    self.prefix, np.array([front], dtype=np.int64), probe.now
                 )
-                yield op
-                winners = np.flatnonzero(op.success)
-                if winners.size:
-                    lane = np.flatnonzero(attempting)[winners[:1]]
-                    st.watch(lane, np.array([front], dtype=np.int64))
-                    if probe is not None:
-                        probe.queue_reserve(self.prefix, "acquire", front, 1)
-                        probe.queue_watch(
-                            self.prefix,
-                            np.array([front], dtype=np.int64),
-                            probe.now,
-                        )
-                else:
-                    stats.custom[K_CAS_ROUNDS] += 1
-                    if probe is not None:
-                        probe.queue_instant(
-                            self.prefix, "cas_retry", probe.now, n
-                        )
-
-        # hand-off identical to BASE: poll valid, read data, clear flag
-        if st.n_watching:
-            claimed = st.slot >= 0
-            lanes = np.flatnonzero(claimed)
-            raw = st.slot[lanes]
-            phys = self._phys(raw)
+        else:
+            stats.custom[K_CAS_ROUNDS] += 1
             if probe is not None:
-                probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
-            vread = MemRead(self.buf_valid, phys)
-            yield vread
-            ready = vread.result == 1
-            if ready.any():
-                got_lanes = lanes[ready]
-                got_phys = phys[ready]
-                dread = MemRead(self.buf_data, got_phys)
-                yield dread
-                if probe is not None:
-                    probe.queue_grant(self.prefix, raw[ready], probe.now)
-                    probe.queue_deliver(self.prefix, raw[ready], dread.result)
-                yield MemWrite(self.buf_valid, got_phys, 0)
-                st.unwatch(got_lanes)
-                st.grant(got_lanes, dread.result)
+                probe.queue_instant(self.prefix, "cas_retry", probe.now, n)

@@ -32,6 +32,17 @@ class TestNaiveCas:
         assert res.stats.custom["scheduler.tasks_completed"] == 8 + 5 + 2 + 3
         assert sched.is_done(eng.memory)
 
+    def test_counts_dequeued_tokens(self, testgpu):
+        """NAIVE hands off through BASE's valid-flag step, so every
+        granted token is counted, exactly as for BASE."""
+        q = NaiveCasQueue(capacity=4096)
+        eng, sched, res = run_with_queue(
+            q, CountdownWorker(), [40, 17], testgpu
+        )
+        c = res.stats.custom
+        assert c["scheduler.tasks_completed"] == 41 + 18
+        assert c["queue.dequeued_tokens"] == c["scheduler.tasks_completed"]
+
     def test_convoys_relative_to_base(self, testgpu):
         """The naive formulation burns far more CAS attempts than the
         ticket-speculated BASE on the same workload — the evidence for
