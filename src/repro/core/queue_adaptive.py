@@ -50,7 +50,7 @@ hand-off and spill/re-inject legality (see ``repro.verify.oracle``).
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Tuple
+from typing import Generator, List, Tuple
 
 import numpy as np
 
@@ -168,9 +168,7 @@ class GrowQueue(RetryFreeQueue):
     # host side
     # ------------------------------------------------------------------
     def allocate(self, memory: GlobalMemory) -> None:
-        memory.alloc(self.buf_data, self.capacity, fill=DNA)
-        memory.mark_hot(self.buf_data)
-        memory.alloc(self.buf_ctrl, 2, fill=0)
+        super().allocate(memory)
         memory.alloc(self.buf_segmap, self.max_segments, fill=-1)
         memory.mark_hot(self.buf_segmap)
         memory.alloc(self.buf_segstate, self.pool_segments, fill=0)
@@ -204,26 +202,9 @@ class GrowQueue(RetryFreeQueue):
         self._peak_live = max(self._peak_live, self._live_segments)
         return phys
 
-    def seed(self, memory: GlobalMemory, tokens: Iterable[int]) -> int:
-        toks = np.asarray(list(tokens), dtype=np.int64)
-        if toks.size > self.capacity:
-            raise QueueFull(
-                f"{toks.size} seed tokens exceed pool capacity "
-                f"{self.capacity}"
-            )
-        if np.any(toks < 0):
-            raise ValueError("task tokens must be non-negative")
-        data = memory[self.buf_data]
-        ctrl = memory[self.buf_ctrl]
-        segmap = memory[self.buf_segmap]
-        rear = int(ctrl[REAR])
-        for i, t in enumerate(toks):
-            raw = rear + i
-            seg, off = divmod(raw, self.seg_cap)
-            self._host_map(memory, seg)
-            data[int(segmap[seg]) * self.seg_cap + off] = t
-        ctrl[REAR] = rear + toks.size
-        return int(toks.size)
+    def _seed_slot(self, memory: GlobalMemory, raw: int) -> int:
+        seg, off = divmod(raw, self.seg_cap)
+        return self._host_map(memory, seg) * self.seg_cap + off
 
     def drain_host(self, memory: GlobalMemory) -> np.ndarray:
         ctrl = memory[self.buf_ctrl]
@@ -256,10 +237,6 @@ class GrowQueue(RetryFreeQueue):
                 cache[logical] = phys
             self._wf_segmap[wf_id] = cache
         return cache
-
-    def _note_link(self) -> None:
-        self._live_segments += 1
-        self._peak_live = max(self._peak_live, self._live_segments)
 
     # ------------------------------------------------------------------
     # kernel side: segment plumbing
@@ -346,7 +323,8 @@ class GrowQueue(RetryFreeQueue):
             if bool(link.success[0]):
                 segcache[s] = phys
                 custom[K_GROW_LINKS] += 1
-                self._note_link()
+                self._live_segments += 1
+                self._peak_live = max(self._peak_live, self._live_segments)
                 custom[K_GROW_PEAK_LIVE] = self._peak_live
                 if probe is not None:
                     probe.queue_segment_link(self.prefix, s, phys, probe.now)
@@ -416,20 +394,13 @@ class GrowQueue(RetryFreeQueue):
                 probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
             yield read
             custom[K_ARRIVAL_CHECKS] += n_mapped
-            if not read.fresh:
+            if not read.fresh or int(read.result.max()) == DNA:
                 if probe is not None:
                     probe.queue_instant(
                         self.prefix, "empty_poll", probe.now, n_mapped
                     )
                 return
-            res = read.result
-            if int(res.max()) == DNA:
-                if probe is not None:
-                    probe.queue_instant(
-                        self.prefix, "empty_poll", probe.now, n_mapped
-                    )
-                return
-            raw_got = yield from self._take(ctx, st, lanes, phys, res)
+            raw_got = yield from self._take(ctx, st, lanes, phys, read.result)
             yield from self._recycle(ctx, segcache, raw_got)
             return
 

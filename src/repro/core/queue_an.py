@@ -27,7 +27,6 @@ from repro.simt import (
     KernelContext,
     LocalOp,
     MemRead,
-    MemWrite,
     Op,
 )
 from repro.simt.lanes import rank_within, segmented_rank
@@ -36,7 +35,6 @@ from .constants import FRONT, REAR
 from .queue_api import (
     K_CAS_ROUNDS,
     K_DEQ_REQUESTS,
-    K_DEQ_TOKENS,
     K_EMPTY_EXC,
     K_ENQ_TOKENS,
     K_PROXY_ATOMICS,
@@ -102,6 +100,9 @@ class ArbitraryNQueue(BaseCasQueue):
         lanes = np.flatnonzero(served)
         raw = front + ranks[served]
         phys = self._phys(raw)
+        # the served lanes watch their slots while the proxy spins on
+        # the valid flags
+        st.watch(lanes, raw)
         if probe is not None:
             probe.queue_proxy(self.prefix, "acquire", m)
             probe.queue_reserve(self.prefix, "acquire", front, m)
@@ -119,16 +120,7 @@ class ArbitraryNQueue(BaseCasQueue):
                     self.prefix, "handoff_spin", probe.now, int(lanes.size)
                 )
 
-        dread = MemRead(self.buf_data, phys)
-        yield dread
-        # probe events fire at the flag-clear's issue, strictly before a
-        # wrap-around producer can see the slot released (oracle order).
-        if probe is not None:
-            probe.queue_grant(self.prefix, raw, probe.now)
-            probe.queue_deliver(self.prefix, raw, dread.result)
-        yield MemWrite(self.buf_valid, phys, 0)
-        st.grant(lanes, dread.result)
-        stats.custom[K_DEQ_TOKENS] += int(lanes.size)
+        yield from self._collect(ctx, st, lanes, raw, phys)
 
     # ------------------------------------------------------------------
     def publish(

@@ -147,10 +147,15 @@ class DeviceQueue(abc.ABC):
         ctrl = memory[self.buf_ctrl]
         rear = int(ctrl[REAR])
         for i, t in enumerate(toks):
-            data[self._phys(rear + i)] = t
+            data[self._seed_slot(memory, rear + i)] = t
         ctrl[REAR] = rear + toks.size
         self._host_mark_valid(memory, rear, toks.size)
         return int(toks.size)
+
+    def _seed_slot(self, memory: GlobalMemory, raw: int) -> int:
+        """Physical slot the host seeds raw index ``raw`` into (a hook for
+        segmented storage, which maps segments as seeding reaches them)."""
+        return self._phys(raw)
 
     def _host_mark_valid(self, memory: GlobalMemory, start: int, n: int) -> None:
         """Hook for variants with per-slot valid flags (BASE/AN)."""

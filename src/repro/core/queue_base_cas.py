@@ -115,26 +115,39 @@ class BaseCasQueue(DeviceQueue):
             yield vread
             ready = vread.result == 1
             if ready.any():
-                got_lanes = lanes[ready]
-                got_phys = phys[ready]
-                dread = MemRead(self.buf_data, got_phys)
-                yield dread
-                # probe events fire at the flag-clear's issue, strictly
-                # before a wrap-around producer can see the slot
-                # released (oracle order).
-                if probe is not None:
-                    probe.queue_grant(self.prefix, raw[ready], probe.now)
-                    probe.queue_deliver(self.prefix, raw[ready], dread.result)
-                yield MemWrite(self.buf_valid, got_phys, 0)
-                st.unwatch(got_lanes)
-                st.grant(got_lanes, dread.result)
-                stats.custom[K_DEQ_TOKENS] += int(got_lanes.size)
+                yield from self._collect(
+                    ctx, st, lanes[ready], raw[ready], phys[ready]
+                )
             else:
                 stats.custom[K_CAS_ROUNDS] += 1  # hand-off spin traffic
                 if probe is not None:
                     probe.queue_instant(
                         self.prefix, "handoff_spin", probe.now, int(lanes.size)
                     )
+
+    def _collect(
+        self,
+        ctx: KernelContext,
+        st: WavefrontQueueState,
+        lanes: np.ndarray,
+        raw: np.ndarray,
+        phys: np.ndarray,
+    ) -> Generator[Op, Op, None]:
+        """Hand-off of claimed slots whose valid flag is set: read their
+        tokens, clear the flags and grant the tokens to the watching
+        ``lanes``."""
+        dread = MemRead(self.buf_data, phys)
+        yield dread
+        # probe events fire at the flag-clear's issue, strictly before a
+        # wrap-around producer can see the slot released (oracle order).
+        probe = ctx.probe
+        if probe is not None:
+            probe.queue_grant(self.prefix, raw, probe.now)
+            probe.queue_deliver(self.prefix, raw, dread.result)
+        yield MemWrite(self.buf_valid, phys, 0)
+        st.unwatch(lanes)
+        st.grant(lanes, dread.result)
+        ctx.stats.custom[K_DEQ_TOKENS] += int(lanes.size)
 
     def _claim(
         self, ctx: KernelContext, st: WavefrontQueueState, n: int

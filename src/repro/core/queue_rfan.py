@@ -115,23 +115,18 @@ class RetryFreeQueue(DeviceQueue):
             probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
         yield read
         custom[K_ARRIVAL_CHECKS] += n_lanes
-        if not read.fresh:
-            # the engine elided the re-sample: no store hit the slot
-            # array since the previous poll, and a cached poll op only
-            # survives polls that granted nothing — so the previous
-            # verdict (no arrivals) still holds without any reduction.
-            if probe is not None:
-                probe.queue_instant(self.prefix, "empty_poll", probe.now, n_lanes)
-            return
-        res = read.result
+        # An elided re-sample (read.fresh False) means no store hit the
+        # slot array since the previous poll, and a cached poll op only
+        # survives polls that granted nothing — so the previous verdict
+        # (no arrivals) still holds without any reduction.  Otherwise:
         # task tokens are non-negative and DNA is the smallest sentinel,
-        # so max(slots) == DNA means no data arrived: one reduction in the
-        # common empty poll instead of a compare plus an any().
-        if int(res.max()) == DNA:
+        # so max(slots) == DNA means no data arrived — one reduction in
+        # the common empty poll instead of a compare plus an any().
+        if not read.fresh or int(read.result.max()) == DNA:
             if probe is not None:
                 probe.queue_instant(self.prefix, "empty_poll", probe.now, n_lanes)
             return
-        yield from self._take(ctx, st, lanes, phys, res)
+        yield from self._take(ctx, st, lanes, phys, read.result)
 
     def publish(
         self,

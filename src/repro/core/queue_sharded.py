@@ -251,23 +251,20 @@ class ShardedQueue(DeviceQueue):
         self._wf: Dict[int, _Thief] = {}
         #: per-shard counter keys, precomputed so the per-work-cycle hot
         #: path never pays an f-string format.
-        self._k_granted = [shard_key(i, "granted") for i in range(self.n_shards)]
-        self._k_enqueued = [shard_key(i, "enqueued") for i in range(self.n_shards)]
-        self._k_steal_out = [shard_key(i, "steal_out") for i in range(self.n_shards)]
-        self._k_steal_in = [shard_key(i, "steal_in") for i in range(self.n_shards)]
+        def keys(name: str) -> List[str]:
+            return [shard_key(i, name) for i in range(self.n_shards)]
+
+        self._k_granted = keys("granted")
+        self._k_enqueued = keys("enqueued")
+        self._k_steal_out = keys("steal_out")
+        self._k_steal_in = keys("steal_in")
         # steal-path stall attribution (all only touched inside _steal,
         # i.e. never when n_shards == 1): per-victim empty probes and
         # lost CAS races, per-home arrival-poll rounds, and a histogram
         # of transfer batch sizes (1 .. steal_quantum).
-        self._k_steal_empty = [
-            shard_key(i, "steal_empty") for i in range(self.n_shards)
-        ]
-        self._k_steal_cas_fail = [
-            shard_key(i, "steal_cas_fail") for i in range(self.n_shards)
-        ]
-        self._k_steal_polls = [
-            shard_key(i, "steal_poll_rounds") for i in range(self.n_shards)
-        ]
+        self._k_steal_empty = keys("steal_empty")
+        self._k_steal_cas_fail = keys("steal_cas_fail")
+        self._k_steal_polls = keys("steal_poll_rounds")
         self._k_steal_batch = [
             f"queue.steal_batch.{n}" for n in range(self.steal_quantum + 1)
         ]
@@ -299,11 +296,6 @@ class ShardedQueue(DeviceQueue):
     # ------------------------------------------------------------------
     # kernel side
     # ------------------------------------------------------------------
-    def _thief(self, wf_id: int) -> _Thief:
-        """The per-wavefront steal state, created on first use."""
-        th = self._wf[wf_id] = _Thief(self, wf_id)
-        return th
-
     def acquire(
         self, ctx: KernelContext, st: WavefrontQueueState
     ) -> Generator[Op, Op, None]:
@@ -312,7 +304,8 @@ class ShardedQueue(DeviceQueue):
             return
         th = self._wf.get(ctx.wf_id)
         if th is None:
-            th = self._thief(ctx.wf_id)
+            # the per-wavefront steal state, created on first use
+            th = self._wf[ctx.wf_id] = _Thief(self, ctx.wf_id)
         before = st.n_token
         yield from th.home_acquire(ctx, st)
         got = st.n_token - before

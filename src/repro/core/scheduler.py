@@ -86,14 +86,6 @@ class WorkCycleResult:
     new_counts: np.ndarray
     new_tokens: np.ndarray
 
-    @staticmethod
-    def nothing(wavefront_size: int) -> "WorkCycleResult":
-        return WorkCycleResult(
-            completed=np.zeros(wavefront_size, dtype=bool),
-            new_counts=np.zeros(wavefront_size, dtype=np.int64),
-            new_tokens=np.zeros((wavefront_size, 1), dtype=np.int64),
-        )
-
 
 class Worker(Protocol):
     """An irregular workload plugged into the persistent scheduler.

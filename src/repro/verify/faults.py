@@ -128,9 +128,8 @@ class OverReserveQueue(RetryFreeQueue):
 class LostStoreQueue(RetryFreeQueue):
     """RF/AN that silently drops the first token store of the launch."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._dropped = False
+    #: set on the queue object once its bug has fired
+    _dropped = False
 
     def _store(self, ctx, raw, phys, vals, *rest):
         if self._dropped:
@@ -176,9 +175,8 @@ class StealDoubleDeliverQueue(ShardedQueue):
     multi-queue oracle must convict from the announcement alone.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._doubled = False
+    #: set on the queue object once its bug has fired
+    _doubled = False
 
     def _republish(self, ctx, h, v, src_raw, src_phys, tokens):
         yield from super()._republish(ctx, h, v, src_raw, src_phys, tokens)
@@ -200,9 +198,8 @@ class StealLostTaskQueue(ShardedQueue):
     scheduler wedges on the in-flight counter.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._dropped = False
+    #: set on the queue object once its bug has fired
+    _dropped = False
 
     def _store_batch(self, ctx, h, dst_raw, dst_phys, tokens):
         if self._dropped or not tokens.size:
@@ -228,9 +225,8 @@ class GrowLinkLostTaskQueue(GrowQueue):
     parks forever, and the scheduler wedges on the in-flight counter.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._dropped = False
+    #: set on the queue object once its bug has fired
+    _dropped = False
 
     def _store(self, ctx, raw, phys, vals, *rest):
         beyond = np.flatnonzero(raw // self.seg_cap >= 1)
