@@ -12,7 +12,10 @@ RF/AN     yes          yes           :class:`~repro.core.queue_rfan.RetryFreeQue
 
 Use :func:`make_queue` to construct one by name, and
 :func:`~repro.core.scheduler.persistent_kernel` to drive it under the
-persistent-thread model.
+persistent-thread model.  The one kernel serves every queue: it picks
+fused termination accounting (and per-shard counters) from the queue's
+``n_shards``, so a :class:`~repro.core.queue_sharded.ShardedQueue` needs
+no kernel of its own.
 
 Two *adaptive-capacity* variants layer graceful overflow handling over
 the RF/AN protocol (:mod:`repro.core.queue_adaptive`): ``GROW`` chains
@@ -20,7 +23,10 @@ recycled fixed-size segments behind a write-once segment map, and
 ``SPILL`` dead-drops overflowing publishes into a side ring that a
 drain pump re-publishes under backpressure.  Both deliver the same
 token multisets as the bare variants — they just stop aborting on
-fill excursions (see ``docs/capacity.md``).
+fill excursions (see ``docs/capacity.md``).  They, the sharded
+composition and the planted bugs of :mod:`repro.verify.faults` reuse
+:class:`~repro.core.queue_rfan.RetryFreeQueue`'s protocol steps rather
+than copying them.
 """
 
 from __future__ import annotations

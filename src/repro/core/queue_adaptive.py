@@ -407,32 +407,19 @@ class GrowQueue(RetryFreeQueue):
     def _build_poll_cache(
         self, st: WavefrontQueueState, segcache: np.ndarray
     ) -> tuple:
-        watching = st.slot >= 0
-        raw = st.slot[watching]
-        inb = self._in_bounds(raw)
-        all_lanes = np.flatnonzero(watching)[inb]
-        raw = raw[inb]
+        lanes, raw = self._watched(st)
         segs = raw // self.seg_cap
         mapped = segcache[segs] >= 0
-        lanes = all_lanes[mapped]
-        phys = np.asarray(
-            self._translate(segcache, raw[mapped]), dtype=np.int64
+        lanes = lanes[mapped]
+        read = self._poll_read(
+            self.buf_data, self._translate(segcache, raw[mapped])
         )
-        phys.setflags(write=False)
-        trans = transactions_for(phys) if phys.size else 0
-        read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
         seg_read = None
         seg_idx = None
         if (~mapped).any():
-            seg_idx = np.unique(segs[~mapped])
-            seg_idx.setflags(write=False)
-            seg_read = MemRead(
-                self.buf_segmap,
-                seg_idx,
-                trans=transactions_for(seg_idx),
-                prechecked=True,
-            )
-        return (lanes, phys, read, int(lanes.size), seg_read, seg_idx)
+            seg_read = self._poll_read(self.buf_segmap, np.unique(segs[~mapped]))
+            seg_idx = seg_read.index
+        return (lanes, read.index, read, int(lanes.size), seg_read, seg_idx)
 
     def _recycle(
         self, ctx: KernelContext, segcache: np.ndarray, raw_got: np.ndarray

@@ -94,18 +94,9 @@ class RetryFreeQueue(DeviceQueue):
         # wavefront.
         cache = st.cache
         if cache is None:
-            watching = st.slot >= 0
-            raw = st.slot[watching]
-            inb = self._in_bounds(raw)
-            lanes = np.flatnonzero(watching)[inb]
-            phys = np.asarray(self._phys(raw[inb]), dtype=np.int64)
-            # frozen: the watch set never changes while this op is cached
-            # (MemRead hot-loop contract), which also lets the engine
-            # reuse its span across re-issues.
-            phys.setflags(write=False)
-            trans = transactions_for(phys) if phys.size else 0
-            read = MemRead(self.buf_data, phys, trans=trans, prechecked=True)
-            st.cache = cache = (lanes, phys, read, int(lanes.size))
+            lanes, raw = self._watched(st)
+            read = self._poll_read(self.buf_data, self._phys(raw))
+            st.cache = cache = (lanes, read.index, read, int(lanes.size))
         lanes, phys, read, n_lanes = cache
         if n_lanes == 0:
             # all monitored slots are beyond queue bounds; no data will
@@ -175,6 +166,25 @@ class RetryFreeQueue(DeviceQueue):
     # ------------------------------------------------------------------
     # protocol steps
     # ------------------------------------------------------------------
+    def _watched(self, st: WavefrontQueueState) -> tuple:
+        """``(lanes, raw)``: the watching lanes whose slots address real
+        storage (Listing 2 line 3), and those raw slots."""
+        watching = st.slot >= 0
+        raw = st.slot[watching]
+        inb = self._in_bounds(raw)
+        return np.flatnonzero(watching)[inb], raw[inb]
+
+    @staticmethod
+    def _poll_read(buf: str, index) -> MemRead:
+        """A cached, prechecked poll of ``buf[index]``.  The index is
+        frozen: the watch set never changes while the op is cached
+        (MemRead hot-loop contract), which also lets the engine reuse its
+        span across re-issues."""
+        index = np.asarray(index, dtype=np.int64)
+        index.setflags(write=False)
+        trans = transactions_for(index) if index.size else 0
+        return MemRead(buf, index, trans=trans, prechecked=True)
+
     def _reserve(
         self, ctx: KernelContext, st: WavefrontQueueState, n_hungry: int
     ) -> Generator[Op, Op, None]:

@@ -10,6 +10,12 @@ the planted queues stays *honest*: it reports what the sabotaged code
 really does, never what correct code would have done — the oracle must
 catch the bug from the observed history, not from a confession.
 
+Every plant is a one-step swap: it subclasses the shipping variant and
+overrides exactly one protocol step (``_take``, ``_advance``, ``_store``,
+``_fill``, ``_republish``, ``_store_batch`` or ``_retire_entries``), so
+all the rest it runs — phase marks, ``fresh`` checks, queue-full aborts —
+is the shipping code.
+
 =====================  ==========  ===========================================
 plant                  variant     bug / expected detection
 =====================  ==========  ===========================================
