@@ -3,7 +3,10 @@
 Measures the trade-off the related work (Tzeng et al. 2010) explored:
 per-group queues reduce pressure on any single counter word but pay for
 steal probing and load imbalance.  On the saturating synthetic workload
-the single retry-free queue should stay ahead or competitive.
+(32768 vertices, Fiji, 56 workgroups) the distributed layouts win: the
+single RF/AN queue takes 90,544 cycles, DIST x2/x4/x8 take
+71,752/72,776/73,896 (1.23-1.26x faster).  The single queue stays
+within 2x of every layout.
 """
 
 from conftest import save_report
@@ -68,8 +71,7 @@ def test_ext_distributed_vs_single(benchmark, cfg, reports_dir):
     save_report(result, reports_dir)
 
     single = runs["RF/AN x1"].cycles
-    # the single retry-free queue is competitive with every distributed
-    # layout on saturating work (within 2x), supporting the paper's
-    # single-queue design choice.
+    # the distributed layouts are 1.23-1.26x faster on this saturating
+    # input; the single retry-free queue stays within 2x of each.
     for label, r in runs.items():
         assert single <= r.cycles * 2.0, (label, single, r.cycles)
