@@ -4,7 +4,8 @@ Every queue variant runs small countdown and fanout launches, circular
 and non-circular where the variant supports both.  For each launch the
 pin holds the simulated cycles, ``SimStats.snapshot()``, the insertion
 order of ``custom`` and a sha256 over every ``queue_*``, ``sched_*`` and
-``wf_phase`` probe callback with its arguments and probe clock.  A
+``wf_phase`` probe callback with its arguments and probe clock.  Small
+capacities also pin every queue-full abort's message and ``info``.  A
 refactor of the queue protocol or the scheduler loop must leave all of
 them bit-identical.
 
@@ -43,9 +44,11 @@ LANES = N_WAVEFRONTS * TESTGPU.wavefront_size
 #: (workload, scale): a dependent chain and a bursty binary tree.
 INPUTS = (("countdown", 24), ("fanout", 80))
 
+#: eager stealing, so the two-shard fanout launches transfer batches
+SHARDED_KW = {"steal_quantum": 4, "spin_threshold": 1}
+
 #: config name -> (queue factory taking (capacity, circular), circular
 #: settings it supports).
-SHARDED_KW = {"steal_quantum": 4, "spin_threshold": 1}
 CONFIGS = {
     "BASE": (lambda c, circ: make_queue("BASE", c, circular=circ), (False, True)),
     "AN": (lambda c, circ: make_queue("AN", c, circular=circ), (False, True)),
