@@ -145,8 +145,9 @@ def run_persistent_bfs(
 
     ``queue_factory`` overrides queue construction: called with the
     capacity, it must return a :class:`~repro.core.DeviceQueue` (e.g. a
-    :class:`~repro.core.ShardedQueue`; the sharded persistent kernel is
-    selected automatically).  ``variant`` then only labels the run.
+    :class:`~repro.core.ShardedQueue`, whose ``n_shards`` the persistent
+    kernel reads to switch to fused termination accounting).
+    ``variant`` then only labels the run.
 
     ``observers`` are forwarded to every launch (``Engine.launch``).
     """

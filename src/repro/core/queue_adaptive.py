@@ -70,7 +70,6 @@ from repro.simt.lanes import segmented_rank
 
 from .constants import DNA, FRONT, REAR
 from .queue_api import (
-    K_ARRIVAL_CHECKS,
     K_ENQ_TOKENS,
     QueueFull,
     queue_full,
@@ -345,7 +344,6 @@ class GrowQueue(RetryFreeQueue):
     def acquire(
         self, ctx: KernelContext, st: WavefrontQueueState
     ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
         probe = ctx.probe
         if probe is not None and self._registered is not ctx.stats:
             self._register(ctx)
@@ -374,7 +372,7 @@ class GrowQueue(RetryFreeQueue):
             if cache is None:
                 cache = self._build_poll_cache(st, segcache)
                 st.cache = cache
-            lanes, phys, read, n_mapped, seg_read, seg_idx = cache
+            read, n_mapped, seg_read, seg_idx = cache[2:]
             progressed = False
             if seg_read is not None:
                 yield seg_read
@@ -393,16 +391,20 @@ class GrowQueue(RetryFreeQueue):
             if probe is not None:
                 probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
             yield read
-            custom[K_ARRIVAL_CHECKS] += n_mapped
-            if not read.fresh or int(read.result.max()) == DNA:
-                if probe is not None:
-                    probe.queue_instant(
-                        self.prefix, "empty_poll", probe.now, n_mapped
-                    )
-                return
-            raw_got = yield from self._take(ctx, st, lanes, phys, read.result)
-            yield from self._recycle(ctx, segcache, raw_got)
+            yield from self.after_poll(ctx, st)
             return
+
+    def _granted(
+        self,
+        ctx: KernelContext,
+        st: WavefrontQueueState,
+        lanes: np.ndarray,
+        phys: np.ndarray,
+        res: np.ndarray,
+    ) -> Generator[Op, Op, None]:
+        # the RF/AN grant, then recycle the segments it drained
+        raw_got = yield from self._take(ctx, st, lanes, phys, res)
+        yield from self._recycle(ctx, self._segcache(ctx.wf_id), raw_got)
 
     def _build_poll_cache(
         self, st: WavefrontQueueState, segcache: np.ndarray
@@ -621,6 +623,10 @@ class SpillQueue(RetryFreeQueue):
         # negative, and any polling wavefront pumps).
         yield from self._pump(ctx)
         yield from super().acquire(ctx, st)
+
+    def parked_poll(self, st: WavefrontQueueState) -> None:
+        # never park: every idle cycle's acquire runs the pump first
+        return None
 
     def publish(
         self,

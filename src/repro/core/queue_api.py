@@ -206,6 +206,20 @@ class DeviceQueue(abc.ABC):
     ) -> Generator[Op, Op, None]:
         """Enqueue ``tokens[i, :counts[i]]`` for every lane ``i``."""
 
+    def parked_poll(self, st: WavefrontQueueState) -> Optional[MemRead]:
+        """The data poll a wavefront may park on after an idle cycle.
+
+        The persistent kernel asks after every work cycle that ended
+        with no tokens.  A queue returns a poll only when its next
+        ``acquire`` would be exactly "yield this cached, prechecked read
+        of every lane's slot, then run the queue's ``after_poll`` step",
+        and stays so while that read is elided; the kernel then yields
+        one :class:`~repro.simt.ops.Park` instead of stepping through
+        its idle cycles, and calls ``after_poll`` itself when it resumes
+        after the poll.  None (the default) keeps the step-by-step loop.
+        """
+        return None
+
     # convenience for subclasses -----------------------------------------
     def _read_ctrl(self) -> MemRead:
         """One coalesced read of (Front, Rear)."""

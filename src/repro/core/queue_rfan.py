@@ -26,7 +26,7 @@ many entries move — the arbitrary-n property.
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Callable, Generator, Iterable
 
 import numpy as np
 
@@ -64,7 +64,9 @@ class RetryFreeQueue(DeviceQueue):
     :meth:`_advance` (the proxy fetch-add of Listings 1 and 3) and
     :meth:`_store` (Listing 3's sentinel-checked store).  ``acquire``
     keeps the data-arrival poll inline: it runs every work cycle of every
-    starved wavefront.
+    starved wavefront.  What follows the poll is :meth:`after_poll`,
+    which the persistent kernel also runs when a parked wavefront's poll
+    sees a store (:meth:`parked_poll`).
     """
 
     variant = "RF/AN"
@@ -74,7 +76,6 @@ class RetryFreeQueue(DeviceQueue):
     def acquire(
         self, ctx: KernelContext, st: WavefrontQueueState
     ) -> Generator[Op, Op, None]:
-        custom = ctx.stats.custom
         probe = ctx.probe
         if probe is not None and self._registered is not ctx.stats:
             self._register(ctx)
@@ -97,15 +98,38 @@ class RetryFreeQueue(DeviceQueue):
             lanes, raw = self._watched(st)
             read = self._poll_read(self.buf_data, self._phys(raw))
             st.cache = cache = (lanes, read.index, read, int(lanes.size))
-        lanes, phys, read, n_lanes = cache
-        if n_lanes == 0:
+        if cache[3] == 0:
             # all monitored slots are beyond queue bounds; no data will
             # ever arrive there (kernel is winding down).
             return
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
-        yield read
-        custom[K_ARRIVAL_CHECKS] += n_lanes
+        yield cache[2]
+        yield from self.after_poll(ctx, st)
+
+    def parked_poll(self, st: WavefrontQueueState) -> MemRead | None:
+        # idle with every lane watching an in-bounds slot: the next
+        # acquire reserves nothing and re-yields the cached poll.  (GROW
+        # inherits this: a full in-bounds poll has no unmapped segment,
+        # so its cache holds no segment-map read either.)
+        cache = st.cache
+        if st.n_token == 0 and cache is not None and (
+            cache[3] == st.wavefront_size
+        ):
+            return cache[2]
+        return None
+
+    def after_poll(
+        self, ctx: KernelContext, st: WavefrontQueueState
+    ) -> Iterable[Op]:
+        """Listing 2 after the cached data-arrival poll (``st.cache``)
+        completed: count the checks, and return the ops that grant what
+        arrived, for the caller to ``yield from`` (none, and no
+        generator, on the common empty poll)."""
+        cache = st.cache
+        read = cache[2]
+        n_lanes = cache[3]
+        ctx.stats.custom[K_ARRIVAL_CHECKS] += n_lanes
         # An elided re-sample (read.fresh False) means no store hit the
         # slot array since the previous poll, and a cached poll op only
         # survives polls that granted nothing — so the previous verdict
@@ -114,10 +138,22 @@ class RetryFreeQueue(DeviceQueue):
         # so max(slots) == DNA means no data arrived — one reduction in
         # the common empty poll instead of a compare plus an any().
         if not read.fresh or int(read.result.max()) == DNA:
+            probe = ctx.probe
             if probe is not None:
                 probe.queue_instant(self.prefix, "empty_poll", probe.now, n_lanes)
-            return
-        yield from self._take(ctx, st, lanes, phys, read.result)
+            return ()
+        return self._granted(ctx, st, cache[0], cache[1], read.result)
+
+    def _granted(
+        self,
+        ctx: KernelContext,
+        st: WavefrontQueueState,
+        lanes: np.ndarray,
+        phys: np.ndarray,
+        res: np.ndarray,
+    ) -> Iterable[Op]:
+        """The ops a poll that saw arrivals runs: :meth:`_take`."""
+        return self._take(ctx, st, lanes, phys, res)
 
     def publish(
         self,

@@ -11,7 +11,14 @@ done:
    discover new tasks and/or complete their current one;
 4. account the new tasks in the in-flight counter, ``queue.publish``
    them, then account the completions — the wavefront whose decrement
-   drives the counter to zero raises the done flag.
+   drives the counter to zero raises the done flag;
+5. park: after a cycle that ended with no tokens, if the queue offers a
+   ``parked_poll`` (RF/AN and GROW with every lane watching a slot), the
+   next idle cycles are one :class:`~repro.simt.ops.Park` of the
+   done-flag poll and that data poll.  The engine replays them while
+   both stay elided (up to ``max_work_cycles``); the kernel resumes
+   after the first read the engine does not replay, counts the replayed
+   cycles and goes on exactly where the step-by-step loop would be.
 
 Termination protocol
 --------------------
@@ -32,7 +39,10 @@ termination store — double as the liveness signals of
 :class:`repro.obs.watchdog.LivenessWatchdog`: a launch whose flight
 recorder sees no work marks, deliveries, stores, or exits for a whole
 watch window is wedged, and the recorder's per-wavefront phase marks
-name the dominant stall class in the resulting post-mortem.
+name the dominant stall class in the resulting post-mortem.  A parked
+wavefront's per-cycle marks are replayed for every probe that wants
+them (``Probe.wants_idle_cycles``); the flight recorder does not, and
+gets one ``dna_spin`` mark per park instead.
 """
 
 from __future__ import annotations
@@ -50,11 +60,12 @@ from repro.simt import (
     MemRead,
     MemWrite,
     Op,
+    Park,
 )
 from repro.simt.probe import overridden
 
 from .constants import DEFAULT_SUBTASKS_PER_CYCLE, DONE, PENDING
-from .queue_api import DeviceQueue
+from .queue_api import K_ARRIVAL_CHECKS, DeviceQueue
 from .state import WavefrontQueueState
 
 K_WORK_CYCLES = "scheduler.work_cycles"
@@ -210,33 +221,97 @@ def persistent_kernel(
         probe = ctx.probe
         # skip the per-acquire call when no probe records token counts
         sched_tokens = overridden(probe, "sched_tokens")
+        # the probe calls of one parked idle cycle, replayed by the engine
+        # after each elided read: what the kernel does between the
+        # done-flag poll and the data poll, then between the data poll
+        # and the next done-flag poll.
+        hooks = None
+        if probe is not None and probe.wants_idle_cycles:
+            wf_id = ctx.wf_id
+            prefix = queue.prefix
+
+            def spin() -> None:
+                probe.wf_phase(wf_id, "dna_spin", prefix)
+
+            def idle() -> None:
+                probe.queue_instant(prefix, "empty_poll", probe.now, wf_size)
+                if sched_tokens is not None:
+                    sched_tokens(probe.now, wf_id, 0, wf_size)
+                probe.wf_phase(wf_id, "termination")
+
+            hooks = (spin, idle)
         # per-cycle counters accumulate in locals and flush in the finally
         # block (the engine closes kernel generators at launch teardown,
         # so the flush also runs for aborted or timed-out launches).
         idle_lanes = 0
+        # the queue's data poll to park on (set after an idle cycle), and
+        # the Park in flight, whose replayed cycles are not counted yet
+        poll = None
+        park = None
+
+        def fold(n: int) -> None:
+            """Count ``n`` replayed completions of a park's reads: the
+            done-flag poll starts each idle cycle, the data poll of all
+            ``wf_size`` idle lanes ends it."""
+            nonlocal cycles, idle_lanes
+            cycles += (n + 1) // 2
+            polls = n // 2
+            idle_lanes += polls * wf_size
+            custom[K_ARRIVAL_CHECKS] += polls * wf_size
+
         try:
             while True:
-                # 1. WorkRemains()? — poll the done flag.  An elided poll
-                # (dread.fresh False) means the control word is untouched
-                # since the previous cycle's check, which saw 0.
-                if probe is not None:
-                    probe.wf_phase(ctx.wf_id, "termination")
-                yield dread
-                if dread.fresh and int(dread.result[0]):
-                    break
-                cycles += 1
-                if max_cycles is not None and cycles > max_cycles:
-                    raise RuntimeError(
-                        f"wavefront {ctx.wf_id} exceeded max_work_cycles="
-                        f"{max_cycles}; termination protocol stuck?"
+                polled = False
+                if poll is None:
+                    # 1. WorkRemains()? — poll the done flag.  An elided
+                    # poll (dread.fresh False) means the control word is
+                    # untouched since the previous cycle's check, which
+                    # saw 0.
+                    if probe is not None:
+                        probe.wf_phase(ctx.wf_id, "termination")
+                    yield dread
+                else:
+                    # Parked: the engine replays idle cycles (done-flag
+                    # poll, data poll) while both reads are elided, at
+                    # most up to max_work_cycles, and resumes here right
+                    # after the first read it does not replay.
+                    if probe is not None:
+                        if hooks is None:
+                            probe.wf_phase(ctx.wf_id, "dna_spin", queue.prefix)
+                        else:
+                            probe.wf_phase(ctx.wf_id, "termination")
+                    park = Park(
+                        (dread, poll), hooks,
+                        None if max_cycles is None
+                        else 2 * (max_cycles - cycles),
                     )
+                    poll = None
+                    yield park
+                    n = park.done
+                    park = None
+                    fold(n)
+                    polled = n & 1
+                if polled:
+                    # the park's data poll just completed
+                    yield from queue.after_poll(ctx, st)
+                else:
+                    if dread.fresh and int(dread.result[0]):
+                        break
+                    cycles += 1
+                    if max_cycles is not None and cycles > max_cycles:
+                        raise RuntimeError(
+                            f"wavefront {ctx.wf_id} exceeded "
+                            f"max_work_cycles={max_cycles}; termination "
+                            "protocol stuck?"
+                        )
 
-                # 2. GetWorkToken() for hungry lanes.
-                yield from queue.acquire(ctx, st)
+                    # 2. GetWorkToken() for hungry lanes.
+                    yield from queue.acquire(ctx, st)
                 idle_lanes += wf_size - st.n_token
                 if sched_tokens is not None:
                     sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
                 if st.n_token == 0:
+                    poll = queue.parked_poll(st)
                     continue
 
                 # 3. DoWorkUnit() — one work cycle of uniform sub-tasks.
@@ -323,6 +398,8 @@ def persistent_kernel(
                         "completed twice or never accounted"
                     )
         finally:
+            if park is not None:
+                fold(park.done)
             custom[K_WORK_CYCLES] = custom.get(K_WORK_CYCLES, 0) + cycles
             if fused:
                 custom[k_cycles] = custom.get(k_cycles, 0) + cycles

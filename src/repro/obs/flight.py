@@ -70,7 +70,15 @@ class FlightRecorder(Probe):
     ``ring`` bounds the unified event ring; everything else the
     recorder keeps is a running aggregate, so a recorder attached to a
     billion-cycle launch is no bigger than one attached to a short one.
+
+    A parked wavefront is marked once per park (``dna_spin``) rather
+    than with the phase and ``empty_poll`` events of every idle cycle,
+    so spinning wavefronts neither flush the ring nor cost a call per
+    cycle; its stall class is ``dna_spin`` for the whole park.
     """
+
+    #: one mark per park, not the calls of every idle cycle.
+    wants_idle_cycles = False
 
     def __init__(self, ring: int = DEFAULT_RING):
         self.ring_size = int(ring)

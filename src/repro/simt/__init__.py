@@ -54,6 +54,7 @@ from .ops import (
     MemRead,
     MemWrite,
     Op,
+    Park,
 )
 from .stats import SimStats
 
@@ -100,5 +101,6 @@ __all__ = [
     "MemRead",
     "MemWrite",
     "Op",
+    "Park",
     "SimStats",
 ]

@@ -59,7 +59,15 @@ execution model):
   ``nxt`` slot instead of the heap; the slot and the heap top are
   totally ordered by the same ``(time, seq)`` tuple compare the heap
   uses, so pop order is unchanged while the common issue->wake cycle
-  skips one heap push+pop.
+  skips one heap push+pop;
+* a kernel whose idle work cycle is a fixed cycle of re-yielded polls
+  yields one :class:`~repro.simt.ops.Park` instead.  While its reads
+  complete elided on an otherwise idle CU, the engine runs the kernel's
+  per-read probe hooks and issues the next read itself; any other
+  completion (fresh, a busy or shared CU, a schedule controller, the
+  park's limit) resumes the generator.  Issues, completions, sequence
+  numbers and elision decisions are the ones the step-by-step loop makes
+  (docs/performance.md, "Parked wavefronts").
 """
 
 from __future__ import annotations
@@ -83,7 +91,9 @@ from .errors import (
     SimulationTimeout,
 )
 from .memory import GlobalMemory
-from .ops import Abort, AtomicRMW, Compute, Fence, LocalOp, MemRead, MemWrite, Op
+from .ops import (
+    Abort, AtomicRMW, Compute, Fence, LocalOp, MemRead, MemWrite, Op, Park,
+)
 from .probe import Probe, ProbeFanout, overridden
 from .stats import SimStats
 
@@ -191,14 +201,18 @@ Kernel = Callable[[KernelContext], Generator[Op, Op, None]]
 class _Wavefront:
     """Engine-internal record for one resident wavefront."""
 
-    __slots__ = ("wid", "cu", "gen", "pending", "pkind", "last_issue",
-                 "last_kind")
+    __slots__ = ("wid", "cu", "gen", "pending", "pkind", "park",
+                 "last_issue", "last_kind")
 
     def __init__(self, wid: int, cu: "_CU", gen: Generator[Op, Op, None]):
         self.wid = wid
         self.cu = cu
         self.gen = gen
         self.pending: Optional[Op] = None
+        #: the :class:`Park` whose reads the engine may replay (None: the
+        #: kernel is resumed after every op); `pending` is then the
+        #: park's read in flight.
+        self.park: Optional[Park] = None
         #: dispatch id of `pending`, cached at issue so completion
         #: handlers skip the class lookup.
         self.pkind = 0
@@ -854,7 +868,22 @@ class Engine:
                 cls = op.__class__
                 kind = op_kind_get(cls)
                 if kind is None:
-                    kind = _resolve_op_kind(cls, op)
+                    if cls is Park:
+                        # not an instruction: it issues its first read,
+                        # and the replay needs each read's issue-to-
+                        # completion delay (as computed for any read)
+                        wf.park = op
+                        op.done = op.cur = 0
+                        op.delays = tuple(
+                            issue
+                            + (l2_latency if is_hot(r.buf) else mem_latency)
+                            + max(r.trans - 1, 0) * pipe
+                            for r in op.reads
+                        )
+                        wf.pending = op = op.reads[0]
+                        kind = _K_READ
+                    else:
+                        kind = _resolve_op_kind(cls, op)
                 wf.pkind = kind
                 if tracking and kind != _K_ABORT:
                     cu.issues += 1
@@ -1150,6 +1179,58 @@ class Engine:
                             op.result = bufs[buf][idx]
                             op.fresh = True
                     cu = wf.cu
+                    park = wf.park
+                    if park is not None:
+                        if (
+                            not op.fresh
+                            and park.done != park.limit
+                            and now >= cu.busy_until
+                            and not cu.ready
+                            and not controlled
+                        ):
+                            # Replay: the read is elided and the CU would
+                            # resume this wavefront right now.  Run the
+                            # kernel's hook for it and issue the park's
+                            # next read exactly as issue_from would issue
+                            # it (the CU is idle and no other wavefront is
+                            # ready, so no CU_FREE wake-up is due).
+                            if probing:
+                                probe.now = now
+                                probe.cur_wf = wf.wid
+                            i = park.cur
+                            hooks = park.hooks
+                            if hooks is not None:
+                                hooks[i]()
+                            park.done += 1
+                            i += 1
+                            if i == len(park.reads):
+                                i = 0
+                            park.cur = i
+                            op = park.reads[i]
+                            wf.pending = op
+                            n_issued += 1
+                            if tracking:
+                                cu.issues += 1
+                                cu.last_wf = wf
+                                wf.last_issue = now
+                                wf.last_kind = _K_READ
+                            trans = op.trans
+                            n_reads += 1
+                            n_trans += trans
+                            n_busy += issue
+                            b = now + issue
+                            cu.busy_until = b
+                            if on_issue is not None:
+                                on_issue(now, cu.cid, wf.wid, _K_READ, b, trans)
+                            cu.wake = next_seq()
+                            ev = (now + park.delays[i], next_seq(), _EV_WF_READY, wf)
+                            if nxt is None:
+                                nxt = ev
+                            else:
+                                heappush(heap, ev)
+                            continue
+                        # anything else resumes the kernel after this read
+                        wf.park = None
                     if now < cu.busy_until:
                         cu.ready.append(wf)
                         w = cu.wake

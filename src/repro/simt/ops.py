@@ -192,6 +192,58 @@ class Fence(Op):
         return "Fence()"
 
 
+class Park(Op):
+    """A parked wavefront's idle work cycle, replayed by the engine.
+
+    Not an instruction: yielding a ``Park`` issues ``reads[0]``.  When a
+    read completes elided (``fresh`` False: the values cannot have
+    changed) and the kernel would be resumed at once (its CU idle, no
+    other wavefront ready, no schedule controller), the engine *replays*
+    the completion instead of resuming the kernel: it runs the read's
+    entry in ``hooks`` (the probe calls the kernel makes before its next
+    yield; ``hooks`` may be None) and issues the next read, cycling
+    through ``reads``.  At most ``limit`` completions are replayed (None:
+    no limit).  Any other completion resumes the kernel, with
+    :attr:`done` holding the number of replayed completions and
+    ``reads[done % len(reads)]`` the read that just completed, fresh or
+    not, whose hook has not run.
+
+    ``reads`` must be cached, prechecked :class:`MemRead` ops with a
+    precomputed ``trans`` that the kernel re-yields anyway (the MemRead
+    hot-loop contract), so each replayed issue and completion is exactly
+    the one the step-by-step loop would make.
+    """
+
+    __slots__ = ("reads", "hooks", "limit", "done", "cur", "delays")
+
+    def __init__(self, reads: tuple, hooks: Optional[tuple] = None,
+                 limit: Optional[int] = None):
+        if not reads or not all(
+            type(r) is MemRead and r.prechecked and r.trans is not None
+            for r in reads
+        ):
+            raise ValueError(
+                "Park reads must be prechecked MemReads with a "
+                "precomputed transaction count"
+            )
+        if hooks is not None and len(hooks) != len(reads):
+            raise ValueError("Park needs one hook per read")
+        if limit is not None and limit < 0:
+            raise ValueError(f"Park limit must be non-negative, got {limit}")
+        self.reads = reads
+        self.hooks = hooks
+        self.limit = limit
+        #: completions replayed so far (engine-maintained).
+        self.done = 0
+        #: engine-private: index of the read in flight, and each read's
+        #: issue-to-completion delay.
+        self.cur = 0
+        self.delays: tuple = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Park(n={len(self.reads)}, done={self.done})"
+
+
 class Abort(Op):
     """Abort the kernel (queue-full exception, Listing 3 line 25).
 

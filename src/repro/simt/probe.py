@@ -63,6 +63,13 @@ class Probe:
     #: marks) can attribute themselves to ``cur_wf`` without threading
     #: the id through every call.
     cur_wf: int = -1
+    #: whether the probe wants the calls of every idle work cycle of a
+    #: parked wavefront (:class:`~repro.simt.ops.Park`).  A probe that
+    #: declares False gets one ``wf_phase(wf, "dna_spin", queue)`` mark
+    #: per park instead of each replayed cycle's ``wf_phase``,
+    #: ``queue_instant`` and ``sched_tokens`` calls; everything else it
+    #: receives is unchanged.
+    wants_idle_cycles: bool = True
 
     # ------------------------------------------------------------------
     # engine callbacks
@@ -283,10 +290,17 @@ class ProbeFanout(Probe):
     Each callback is bound to only the children whose class overrides
     it, so a callback no child wants stays the inherited no-op.  The
     engine-maintained :attr:`now` and :attr:`cur_wf` reach every child.
+    The fanout opts out of idle-cycle calls only when every child does,
+    so blame, timelines and the verify oracle see the same stream
+    whatever else is attached.
     """
 
     def __init__(self, children) -> None:
         self.children = tuple(children)
+        # one member that wants the per-cycle calls gets them all
+        self.wants_idle_cycles = any(
+            c.wants_idle_cycles for c in self.children
+        )
         self._now = 0
         self._cur_wf = -1
         for name in EVENT_CALLBACKS:

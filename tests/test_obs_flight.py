@@ -3,11 +3,13 @@
 Bit-identity of flight-recorded runs is pinned per queue variant in
 ``tests/test_simt_determinism.py``; this file covers the recorder's own
 contracts: the bounded ring, the JSON-able snapshot, session
-attachment and composition, the post-mortem round trip, and the structured context every
-queue variant now attaches to a capacity abort.
+attachment and composition, the post-mortem round trip, the structured
+context every queue variant now attaches to a capacity abort, and how
+parked wavefronts are recorded.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,11 +38,15 @@ from repro.obs.flight import (
     write_postmortem,
 )
 from repro.obs.session import ProfileSession
+from repro.obs.timeline import TimelineProbe
 from repro.obs.watchdog import LivenessWatchdog
 from repro.simt import Engine, QueueFullError, TESTGPU, WedgeError, attached
 from repro.simt.engine import OP_KIND_NAMES
+from repro.simt.probe import Probe
 from repro.verify import StarveCUController
 from repro.verify import workloads as vworkloads
+
+import test_park_pin as park_pin
 
 
 def _small_bfs(*observers):
@@ -412,3 +418,80 @@ class TestEnrichedQueueFull:
         assert "/4" in str(err)
         info = err.info()
         assert info["capacity"] == 4 and info["queue"] == err.queue
+
+
+class _PhaseCounter(Probe):
+    """Counts phase marks and queue instants (a non-flight probe)."""
+
+    def __init__(self) -> None:
+        self.counts = Counter()
+
+    def wf_phase(self, wf, phase, detail="") -> None:
+        self.counts[phase] += 1
+
+    def queue_instant(self, prefix, name, cycle, count) -> None:
+        self.counts[name] += 1
+
+
+def _ring_counts(rec: FlightRecorder) -> Counter:
+    counts = Counter()
+    for ev in rec.events:
+        if ev[1] == "phase":
+            counts[ev[3]] += 1
+        elif ev[1] == "instant":
+            counts[ev[3]] += 1
+    return counts
+
+
+class TestParkedWavefronts:
+    """A parked wavefront (``repro.simt.ops.Park``) is marked once per
+    park in the recorder instead of once per replayed idle cycle."""
+
+    LAUNCH = ("RF/AN", "Fiji", 56)
+    RING = 10**7
+
+    def test_one_dna_spin_mark_per_park(self, monkeypatch):
+        import repro.core.scheduler as scheduler_mod
+        from repro.simt import Park
+
+        stepped = _PhaseCounter()
+        park_pin.launch(*self.LAUNCH, observers=[stepped])
+        parks = []
+
+        def counted_park(*args):
+            parks.append(Park(*args))
+            return parks[-1]
+
+        monkeypatch.setattr(scheduler_mod, "Park", counted_park)
+        with FlightSession(ring=self.RING) as fs:
+            park_pin.launch(*self.LAUNCH)
+        got = _ring_counts(fs.last)
+        # completions alternate: done-flag poll, data poll, ...
+        spins = sum((p.done + 1) // 2 for p in parks)
+        polls = sum(p.done // 2 for p in parks)
+        assert parks and spins + polls > 10 * len(parks)
+        assert all(p.hooks is None for p in parks)
+        want = stepped.counts
+        assert got["dna_spin"] == want["dna_spin"] - spins + len(parks)
+        assert got["empty_poll"] == want["empty_poll"] - polls
+        assert got["termination"] == want["termination"] - polls - len(parks)
+
+    def test_recorder_with_a_timeline_sees_every_cycle(self):
+        alone = TimelineProbe()
+        stepped = _PhaseCounter()
+        park_pin.launch(*self.LAUNCH, observers=[alone, stepped])
+        rec = FlightRecorder(ring=self.RING)
+        paired = TimelineProbe()
+        park_pin.launch(*self.LAUNCH, observers=[rec, paired])
+        got = _ring_counts(rec)
+        for name in ("dna_spin", "termination", "empty_poll"):
+            assert got[name] == stepped.counts[name] > 0
+        for attr in ("issues", "wakes", "exits", "atomics", "counters",
+                     "instants", "parallelism"):
+            assert getattr(paired, attr) == getattr(alone, attr), attr
+
+    def test_watchdog_classifies_a_wedge_as_dna_spin(self):
+        pinned = json.loads(park_pin.PIN.read_text())["wedge"]["watchdog"]
+        fs = park_pin.watched_wedge()
+        assert [[c, a] for c, a, _ in fs.watchdog_events] == pinned
+        assert {cls for _, _, cls in fs.watchdog_events} == {"dna_spin"}

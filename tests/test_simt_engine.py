@@ -16,6 +16,7 @@ from repro.simt import (
     LocalOp,
     MemRead,
     MemWrite,
+    Park,
     Probe,
     Session,
     SimulationTimeout,
@@ -23,6 +24,7 @@ from repro.simt import (
     transactions_for,
 )
 from repro.simt.probe import ProbeFanout
+from repro.verify.schedule import FifoController
 
 
 class FactorySession(Session):
@@ -604,3 +606,68 @@ class TestSessions:
     def test_exit_without_enter_raises(self):
         with pytest.raises(RuntimeError, match="without being entered"):
             FactorySession(_Ends).__exit__(None, None, None)
+
+
+def _polls():
+    return (
+        MemRead("polled", np.array([0], dtype=np.int64), trans=1,
+                prechecked=True),
+        MemRead("polled", np.array([1, 2], dtype=np.int64), trans=1,
+                prechecked=True),
+    )
+
+
+class TestPark:
+    """``Park`` replays elided re-yields of cached reads bit-identically
+    to a kernel yielding them one at a time."""
+
+    N = 9
+
+    def _launch(self, kernel, observers=()):
+        eng = Engine(simt.TESTGPU)
+        eng.memory.alloc("polled", 4, fill=0)
+        x0 = dict(simt.engine.EXEC_COUNTS)
+        res = eng.launch(kernel, 1, observers=observers)
+        x = {k: v - x0[k] for k, v in simt.engine.EXEC_COUNTS.items()}
+        return res.cycles, res.stats.snapshot(), x
+
+    def test_replay_matches_step_loop(self):
+        n = self.N
+        seen = []
+
+        def stepped(ctx):
+            reads = _polls()
+            for k in range(n + 3):
+                yield reads[k % 2]
+
+        def parked(ctx):
+            reads = _polls()
+            yield reads[0]
+            yield reads[1]
+            k = 2  # completions so far
+            while k < n + 3:
+                order = reads if k % 2 == 0 else reads[::-1]
+                hooks = tuple(lambda r=r: seen.append(r) for r in order)
+                park = Park(order, hooks, limit=n + 2 - k)
+                yield park
+                # `done` replayed completions, then the one that resumed
+                k += park.done + 1
+
+        assert self._launch(parked) == self._launch(stepped)
+        # alone on its CU, every completion up to the limit is replayed
+        assert len(seen) == n and seen[0] is not seen[1]
+        # under a schedule controller every completion resumes the
+        # kernel instead, still bit-identically
+        seen.clear()
+        fifo = [FifoController()]
+        assert self._launch(parked, fifo) == self._launch(stepped, fifo)
+        assert seen == []
+
+    def test_validates_reads_hooks_and_limit(self):
+        reads = _polls()
+        with pytest.raises(ValueError, match="prechecked"):
+            Park((MemRead("polled", 0),))
+        with pytest.raises(ValueError, match="one hook per read"):
+            Park(reads, hooks=(lambda: None,))
+        with pytest.raises(ValueError, match="non-negative"):
+            Park(reads, limit=-1)
