@@ -60,15 +60,13 @@ from repro.simt import (
     AtomicRMW,
     GlobalMemory,
     KernelContext,
-    LocalOp,
     MemRead,
     MemWrite,
     Op,
 )
 from repro.simt.engine import transactions_for
-from repro.simt.lanes import segmented_rank
 
-from .constants import DNA, FRONT, REAR
+from .constants import DNA, REAR
 from .queue_api import (
     K_ENQ_TOKENS,
     QueueFull,
@@ -95,6 +93,9 @@ SP_LOCK = 2
 
 class GrowQueue(RetryFreeQueue):
     """Segment-chained RF/AN queue with a recycling free-list.
+
+    It runs :class:`RetryFreeQueue`'s protocol over its own storage
+    hooks, and recycles drained segments on the grant (``_granted``).
 
     Parameters
     ----------
@@ -205,21 +206,10 @@ class GrowQueue(RetryFreeQueue):
         seg, off = divmod(raw, self.seg_cap)
         return self._host_map(memory, seg) * self.seg_cap + off
 
-    def drain_host(self, memory: GlobalMemory) -> np.ndarray:
-        ctrl = memory[self.buf_ctrl]
-        data = memory[self.buf_data]
-        segmap = memory[self.buf_segmap]
-        front, rear = int(ctrl[FRONT]), int(ctrl[REAR])
-        out = []
-        for raw in range(front, rear):
-            seg, off = divmod(raw, self.seg_cap)
-            phys_seg = int(segmap[seg])
-            if phys_seg < 0:
-                continue
-            v = data[phys_seg * self.seg_cap + off]
-            if v != DNA:
-                out.append(int(v))
-        return np.asarray(out, dtype=np.int64)
+    def _host_slot(self, memory: GlobalMemory, raw: int) -> int | None:
+        seg, off = divmod(raw, self.seg_cap)
+        phys_seg = int(memory[self.buf_segmap][seg])
+        return None if phys_seg < 0 else phys_seg * self.seg_cap + off
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -339,60 +329,50 @@ class GrowQueue(RetryFreeQueue):
         return segcache[seg] * self.seg_cap + off
 
     # ------------------------------------------------------------------
-    # kernel side: the RF/AN protocol over segmented storage
+    # kernel side: the storage hooks of the RF/AN protocol
     # ------------------------------------------------------------------
-    def acquire(
-        self, ctx: KernelContext, st: WavefrontQueueState
-    ) -> Generator[Op, Op, None]:
-        probe = ctx.probe
-        if probe is not None and self._registered is not ctx.stats:
-            self._register(ctx)
-
-        # --- slot reservation: Listing 1, as in RF/AN -----------------
-        n_hungry = st.wavefront_size - st.n_token - st.n_watching
-        if n_hungry:
-            yield from self._reserve(ctx, st, n_hungry)
-
-        if st.n_watching == 0:
-            return
-        segcache = self._segcache(ctx.wf_id)
-
-        # --- data-arrival poll over the segment map --------------------
+    def _poll_cache(self, ctx: KernelContext, st: WavefrontQueueState) -> tuple:
         # Watched slots fall in two classes: *mapped* (their logical
         # segment is linked in this wavefront's cached map — poll the
         # translated physical slot exactly like RF/AN) and *unmapped*
         # (the producer has not linked the segment yet — poll the
         # segment-map words instead; a non-negative value there means
-        # the segment just got linked and the poll set must be rebuilt).
-        # Both polls are cached prechecked reads: the engine elides the
-        # re-sample unless a store (or the link CAS — atomics bump the
-        # write epoch too) touched the polled words.
-        while True:
-            cache = st.cache
-            if cache is None:
-                cache = self._build_poll_cache(st, segcache)
-                st.cache = cache
-            read, n_mapped, seg_read, seg_idx = cache[2:]
-            progressed = False
-            if seg_read is not None:
-                yield seg_read
-                if seg_read.fresh:
-                    linked = seg_read.result >= 0
-                    if linked.any():
-                        segcache[seg_idx[linked]] = seg_read.result[linked]
-                        st.cache = None
-                        progressed = True
-            if progressed:
-                continue
-            if n_mapped == 0:
-                # nothing watchable is mapped yet (or all watched slots
-                # are beyond the logical bound during wind-down).
-                return
-            if probe is not None:
-                probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
-            yield read
-            yield from self.after_poll(ctx, st)
-            return
+        # the segment just got linked, see _remapped).  Both polls are
+        # cached prechecked reads: the engine elides the re-sample unless
+        # a store (or the link CAS — atomics bump the write epoch too)
+        # touched the polled words.
+        segcache = self._segcache(ctx.wf_id)
+        lanes, raw = self._watched(st)
+        segs = raw // self.seg_cap
+        mapped = segcache[segs] >= 0
+        lanes = lanes[mapped]
+        read = self._poll_read(
+            self.buf_data, self._translate(segcache, raw[mapped])
+        )
+        seg_read = None
+        if (~mapped).any():
+            seg_read = self._poll_read(self.buf_segmap, np.unique(segs[~mapped]))
+        return (lanes, read.index, read, int(lanes.size), seg_read)
+
+    def _remapped(self, ctx: KernelContext, cache: tuple) -> bool:
+        seg_read = cache[4]
+        if not seg_read.fresh:
+            return False
+        linked = seg_read.result >= 0
+        self._segcache(ctx.wf_id)[seg_read.index[linked]] = seg_read.result[linked]
+        return bool(linked.any())
+
+    def _map(
+        self, ctx: KernelContext, base: int, n: int
+    ) -> Generator[Op, Op, None]:
+        # growth: map every logical segment the reservation spans
+        return self._link_segments(
+            ctx, self._segcache(ctx.wf_id), base // self.seg_cap,
+            (base + n - 1) // self.seg_cap,
+        )
+
+    def _slots(self, ctx: KernelContext, raw: np.ndarray) -> np.ndarray:
+        return self._translate(self._segcache(ctx.wf_id), raw)
 
     def _granted(
         self,
@@ -405,23 +385,6 @@ class GrowQueue(RetryFreeQueue):
         # the RF/AN grant, then recycle the segments it drained
         raw_got = yield from self._take(ctx, st, lanes, phys, res)
         yield from self._recycle(ctx, self._segcache(ctx.wf_id), raw_got)
-
-    def _build_poll_cache(
-        self, st: WavefrontQueueState, segcache: np.ndarray
-    ) -> tuple:
-        lanes, raw = self._watched(st)
-        segs = raw // self.seg_cap
-        mapped = segcache[segs] >= 0
-        lanes = lanes[mapped]
-        read = self._poll_read(
-            self.buf_data, self._translate(segcache, raw[mapped])
-        )
-        seg_read = None
-        seg_idx = None
-        if (~mapped).any():
-            seg_read = self._poll_read(self.buf_segmap, np.unique(segs[~mapped]))
-            seg_idx = seg_read.index
-        return (lanes, read.index, read, int(lanes.size), seg_read, seg_idx)
 
     def _recycle(
         self, ctx: KernelContext, segcache: np.ndarray, raw_got: np.ndarray
@@ -459,45 +422,7 @@ class GrowQueue(RetryFreeQueue):
                 probe.queue_segment_release(self.prefix, int(s), int(p))
         yield MemWrite(self.buf_segstate, phys_segs, 0)
 
-    def publish(
-        self,
-        ctx: KernelContext,
-        st: WavefrontQueueState,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        counts = np.asarray(counts, dtype=np.int64)
-        has_new = counts > 0
-        if not has_new.any():
-            return
-
-        probe = self._probe(ctx)
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-        ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(ctx.device.lds_op_cycles)
-        base = yield from self._advance(ctx, REAR, total)
-
-        # --- growth: map every logical segment the batch spans ---------
-        segcache = self._segcache(ctx.wf_id)
-        yield from self._link_segments(
-            ctx, segcache, base // self.seg_cap,
-            (base + total - 1) // self.seg_cap,
-        )
-
-        # --- lock-step copy through the segment map --------------------
-        max_count = int(counts.max())
-        lane_base = base + ranks
-        for t in range(max_count):
-            active = counts > t
-            raw = lane_base[active] + t
-            yield from self._store(
-                ctx, raw, self._translate(segcache, raw), tokens[active, t],
-                self._recycle_violation,
-            )
-        ctx.stats.custom[K_ENQ_TOKENS] += int(total)
-
-    def _recycle_violation(self, bad: np.ndarray) -> Abort:
+    def _ring_full(self, bad: np.ndarray) -> Abort:
         # a mapped slot below Rear can only be non-sentinel if the
         # recycle protocol broke: surface it, never overwrite.
         return queue_full(

@@ -1,4 +1,9 @@
-"""Abstract interface shared by the three concurrent-queue variants.
+"""Abstract interface shared by every device-queue variant.
+
+The paper's three variants (BASE, AN, RF/AN) implement it directly.  The
+rest configure one of them: NAIVE and AN extend BASE; GROW (segment
+storage) and SPILL (an overflow ring) run RF/AN's protocol; SHARDED and
+DIST compose several inner queues.
 
 A :class:`DeviceQueue` is a *device-resident* data structure: its state
 lives entirely in :class:`~repro.simt.memory.GlobalMemory` buffers
@@ -167,10 +172,15 @@ class DeviceQueue(abc.ABC):
         front, rear = int(ctrl[FRONT]), int(ctrl[REAR])
         out = []
         for raw in range(front, rear):
-            v = data[self._phys(raw)]
-            if v != DNA:
-                out.append(int(v))
+            slot = self._host_slot(memory, raw)
+            if slot is not None and data[slot] != DNA:
+                out.append(int(data[slot]))
         return np.asarray(out, dtype=np.int64)
+
+    def _host_slot(self, memory: GlobalMemory, raw: int) -> Optional[int]:
+        """Physical slot the host reads raw index ``raw`` from, or None
+        where no storage backs it (a hook for segmented storage)."""
+        return self._phys(raw)
 
     # ------------------------------------------------------------------
     # shared helpers

@@ -67,6 +67,10 @@ class RetryFreeQueue(DeviceQueue):
     starved wavefront.  What follows the poll is :meth:`after_poll`,
     which the persistent kernel also runs when a parked wavefront's poll
     sees a store (:meth:`parked_poll`).
+
+    Storage is a flat ring behind the hooks :meth:`_poll_cache`,
+    :meth:`_remapped`, :meth:`_map` and :meth:`_slots`, which GROW's
+    segment-chained storage overrides.
     """
 
     variant = "RF/AN"
@@ -95,12 +99,17 @@ class RetryFreeQueue(DeviceQueue):
         # wavefront.
         cache = st.cache
         if cache is None:
-            lanes, raw = self._watched(st)
-            read = self._poll_read(self.buf_data, self._phys(raw))
-            st.cache = cache = (lanes, read.index, read, int(lanes.size))
+            st.cache = cache = self._poll_cache(ctx, st)
+        while cache[4] is not None:
+            # mapped storage polls its map first; a map that changed
+            # under the watched slots means a new poll set.
+            yield cache[4]
+            if not self._remapped(ctx, cache):
+                break
+            st.cache = cache = self._poll_cache(ctx, st)
         if cache[3] == 0:
-            # all monitored slots are beyond queue bounds; no data will
-            # ever arrive there (kernel is winding down).
+            # no monitored slot has storage (yet, or ever when winding
+            # down past the bound): no data can arrive there.
             return
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
@@ -108,10 +117,9 @@ class RetryFreeQueue(DeviceQueue):
         yield from self.after_poll(ctx, st)
 
     def parked_poll(self, st: WavefrontQueueState) -> MemRead | None:
-        # idle with every lane watching an in-bounds slot: the next
-        # acquire reserves nothing and re-yields the cached poll.  (GROW
-        # inherits this: a full in-bounds poll has no unmapped segment,
-        # so its cache holds no segment-map read either.)
+        # idle with every lane watching a slot with storage: the next
+        # acquire reserves nothing and re-yields the cached poll (and no
+        # map poll: every watched slot is mapped).
         cache = st.cache
         if st.n_token == 0 and cache is not None and (
             cache[3] == st.wavefront_size
@@ -176,6 +184,7 @@ class RetryFreeQueue(DeviceQueue):
 
         # --- line 15: proxy reserves `total` entries with one AFA ------
         base = yield from self._advance(ctx, REAR, total)
+        yield from self._map(ctx, base, total)
 
         # --- lines 24-27: lock-step copy, one sub-iteration per token
         # rank within the busiest lane.
@@ -195,9 +204,36 @@ class RetryFreeQueue(DeviceQueue):
                     x,
                 )
             yield from self._store(
-                ctx, raw, self._phys(raw), tokens[active, t], self._ring_full
+                ctx, raw, self._slots(ctx, raw), tokens[active, t],
+                self._ring_full,
             )
         ctx.stats.custom[K_ENQ_TOKENS] += int(total)
+
+    # ------------------------------------------------------------------
+    # storage: a flat ring; segment-chained storage (GROW) overrides these
+    # ------------------------------------------------------------------
+    def _poll_cache(self, ctx: KernelContext, st: WavefrontQueueState) -> tuple:
+        """The cached poll set ``(lanes, phys, poll, n_lanes, map_poll)``:
+        the watching lanes whose slots have storage, their physical
+        slots, the data poll of those slots, the lane count, and the
+        poll of the storage map that ``acquire`` yields first (None for
+        a flat ring, which has no map)."""
+        lanes, raw = self._watched(st)
+        read = self._poll_read(self.buf_data, self._slots(ctx, raw))
+        return (lanes, read.index, read, int(lanes.size), None)
+
+    def _remapped(self, ctx: KernelContext, cache: tuple) -> bool:
+        """Whether the map poll ``cache[4]`` saw the map change."""
+        return False
+
+    def _map(self, ctx: KernelContext, base: int, n: int) -> Iterable[Op]:
+        """The ops that give storage to the ``n`` raw slots reserved at
+        ``base`` on Rear, run between the fetch-add and the stores."""
+        return ()
+
+    def _slots(self, ctx: KernelContext, raw: np.ndarray) -> np.ndarray:
+        """The physical slots of ``raw`` as this wavefront sees them."""
+        return self._phys(raw)
 
     # ------------------------------------------------------------------
     # protocol steps

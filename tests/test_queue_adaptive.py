@@ -21,7 +21,14 @@ import numpy as np
 import pytest
 
 from repro import simt
-from repro.core import GrowQueue, SchedulerControl, SpillQueue, persistent_kernel
+from repro.core import (
+    FRONT,
+    REAR,
+    GrowQueue,
+    SchedulerControl,
+    SpillQueue,
+    persistent_kernel,
+)
 from repro.core.queue_adaptive import (
     K_GROW_LINKS,
     K_GROW_PEAK_LIVE,
@@ -30,13 +37,18 @@ from repro.core.queue_adaptive import (
     K_SPILL_REINJECTED,
     K_SPILL_TOKENS,
 )
-from repro.verify.workloads import build
+from repro.verify.workloads import CountdownWorker, build
 
 DONE = "scheduler.tasks_completed"
 
 
 def _run(queue, workload, scale, n_wf, max_work_cycles=100_000):
     worker, seeds, expected = build(workload, scale)
+    res, sched, eng = _launch(queue, worker, seeds, n_wf, max_work_cycles)
+    return res, expected, sched, eng
+
+
+def _launch(queue, worker, seeds, n_wf, max_work_cycles=100_000):
     eng = simt.Engine(simt.TESTGPU)
     sched = SchedulerControl()
     queue.allocate(eng.memory)
@@ -45,7 +57,7 @@ def _run(queue, workload, scale, n_wf, max_work_cycles=100_000):
     sched.seed(eng.memory, len(seeds))
     kern = persistent_kernel(queue, worker, sched)
     res = eng.launch(kern, n_wf, params={"max_work_cycles": max_work_cycles})
-    return res, expected, sched, eng
+    return res, sched, eng
 
 
 class TestGrowQueue:
@@ -79,6 +91,49 @@ class TestGrowQueue:
         q = GrowQueue(24, seg_cap=8, pool_segments=3)
         with pytest.raises(simt.KernelAbort, match="segment pool exhausted"):
             _run(q, "fanout", 63, 6)
+
+    def test_runs_the_rfan_protocol_not_a_copy(self):
+        # GROW is storage hooks under RetryFreeQueue's acquire/publish.
+        for name in ("acquire", "publish", "drain_host"):
+            assert name not in vars(GrowQueue), name
+
+    def test_seed_beyond_one_segment_links_on_the_host(self):
+        # 20 tokens at seg_cap=8 span logical segments 0-2: the host
+        # links each segment as seeding reaches it, and drain_host reads
+        # every token back through the map.
+        mem = simt.GlobalMemory()
+        q = GrowQueue(24, seg_cap=8, pool_segments=3)
+        q.allocate(mem)
+        toks = list(range(100, 120))
+        assert q.seed(mem, toks) == 20
+        segmap = mem[q.buf_segmap]
+        assert sorted(segmap[:3].tolist()) == [0, 1, 2]
+        assert (segmap[3:] == -1).all()
+        assert sorted(q.drain_host(mem).tolist()) == toks
+
+    def test_device_consumes_host_linked_segments(self):
+        # seeds spanning three segments, each spawning one child: every
+        # seeded token is found through the host-linked map.
+        q = GrowQueue(32, seg_cap=8)
+        res, sched, eng = _launch(q, CountdownWorker(), [1] * 20, 4)
+        assert res.stats.custom[DONE] == 40
+        assert sched.pending(eng.memory) == 0
+        assert q.drain_host(eng.memory).size == 0
+
+    def test_drain_host_skips_unmapped_segments(self):
+        # raw 8..15 lie between Front and Rear in logical segment 1,
+        # which no one linked: drain_host must skip them, not read a
+        # physical slot for them (the flat slot 8.., or the slot an
+        # unmapped -1 would translate to).
+        mem = simt.GlobalMemory()
+        q = GrowQueue(24, seg_cap=8, pool_segments=3)
+        q.allocate(mem)
+        q.seed(mem, [7, 8, 9])
+        mem[q.buf_data][8:] = 999  # every pool segment but segment 0
+        mem[q.buf_ctrl][FRONT] = 1
+        mem[q.buf_ctrl][REAR] = 16
+        assert mem[q.buf_segmap][1] == -1
+        assert q.drain_host(mem).tolist() == [8, 9]
 
     def test_deterministic_across_reruns(self):
         outs = []

@@ -13,10 +13,13 @@ Two layers:
   caught with the invariant its plant advertises.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.constants import DNA
+from repro.verify import faults
 from repro.verify.faults import PLANTS
 from repro.verify.oracle import InvariantOracle, VerificationError
 from repro.verify.runner import _selftest_scenarios
@@ -307,6 +310,18 @@ class TestPlantedBugs:
         out = run_scenario(_selftest_scenarios(plant, deep=False)[0])
         assert not out.ok, f"oracle is blind to planted bug {plant}"
         assert out.invariant in spec["invariants"], out.detail
+
+    def test_plants_override_a_step_not_an_entry_point(self):
+        # each plant swaps one protocol step and runs the shipping
+        # acquire/publish around it, so the bug sits in shipping code.
+        classes = [
+            cls for _, cls in inspect.getmembers(faults, inspect.isclass)
+            if cls.__module__ == faults.__name__
+        ]
+        assert {spec["cls"] for spec in PLANTS.values()} <= set(classes)
+        for cls in classes:
+            for name in ("acquire", "publish"):
+                assert name not in vars(cls), f"{cls.__name__}.{name}"
 
     def test_publication_race_needs_schedule_exploration(self):
         # the valid-before-data plant is invisible in native order ...
