@@ -21,24 +21,11 @@ from typing import Generator
 
 import numpy as np
 
-from repro.simt import (
-    AtomicKind,
-    AtomicRMW,
-    KernelContext,
-    LocalOp,
-    MemRead,
-    Op,
-)
-from repro.simt.lanes import rank_within, segmented_rank
+from repro.simt import KernelContext, LocalOp, MemRead, Op
+from repro.simt.lanes import segmented_rank
 
 from .constants import FRONT, REAR
-from .queue_api import (
-    K_CAS_ROUNDS,
-    K_DEQ_REQUESTS,
-    K_EMPTY_EXC,
-    K_ENQ_TOKENS,
-    K_PROXY_ATOMICS,
-)
+from .queue_api import K_CAS_ROUNDS, K_EMPTY_EXC, K_ENQ_TOKENS
 from .queue_base_cas import BaseCasQueue
 from .state import WavefrontQueueState
 
@@ -55,17 +42,11 @@ class ArbitraryNQueue(BaseCasQueue):
         self, ctx: KernelContext, st: WavefrontQueueState
     ) -> Generator[Op, Op, None]:
         stats = ctx.stats
-        dev = ctx.device
         probe = self._probe(ctx)
         n = st.n_hungry
         if n == 0:
             return
-        hungry = st.hungry_mask()
-        stats.custom[K_DEQ_REQUESTS] += n
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-        ranks, _total = rank_within(hungry)
-        yield LocalOp(dev.lds_op_cycles)  # local aggregation of hungry lanes
+        hungry, ranks, _ = yield from self._aggregate(ctx, st, n)
 
         first_round = True
         while True:
@@ -84,24 +65,31 @@ class ArbitraryNQueue(BaseCasQueue):
                 stats.custom[K_CAS_ROUNDS] += 1
             first_round = False
             # proxy claims m entries with one CAS; it can fail.
-            op = AtomicRMW(
-                self.buf_ctrl, FRONT, AtomicKind.CAS, front, front + m
-            )
-            yield op
-            stats.custom[K_PROXY_ATOMICS] += 1
-            if bool(op.success[0]):
+            if (yield from self._cas(ctx, FRONT, front, m)):
                 break
             # CAS failed: somebody moved Front; re-read and retry.
             if probe is not None:
                 probe.queue_instant(self.prefix, "cas_retry", probe.now, 1)
 
-        # first m hungry lanes receive slots front .. front+m-1.
+        yield from self._handoff(ctx, st, hungry, ranks, front, m)
+
+    def _handoff(
+        self,
+        ctx: KernelContext,
+        st: WavefrontQueueState,
+        hungry: np.ndarray,
+        ranks: np.ndarray,
+        front: int,
+        m: int,
+    ) -> Generator[Op, Op, None]:
+        """After a won claim of ``m`` entries from ``front``: the first
+        ``m`` hungry lanes (by ``ranks``) watch their slots while the
+        proxy spins on the valid flags, then collect the tokens."""
+        probe = ctx.probe
         served = hungry & (ranks < m)
         lanes = np.flatnonzero(served)
         raw = front + ranks[served]
         phys = self._phys(raw)
-        # the served lanes watch their slots while the proxy spins on
-        # the valid flags
         st.watch(lanes, raw)
         if probe is not None:
             probe.queue_proxy(self.prefix, "acquire", m)
@@ -114,7 +102,7 @@ class ArbitraryNQueue(BaseCasQueue):
             yield vread
             if np.all(vread.result == 1):
                 break
-            stats.custom[K_CAS_ROUNDS] += 1
+            ctx.stats.custom[K_CAS_ROUNDS] += 1
             if probe is not None:
                 probe.queue_instant(
                     self.prefix, "handoff_spin", probe.now, int(lanes.size)
@@ -152,12 +140,7 @@ class ArbitraryNQueue(BaseCasQueue):
             if not first_round:
                 stats.custom[K_CAS_ROUNDS] += 1
             first_round = False
-            op = AtomicRMW(
-                self.buf_ctrl, REAR, AtomicKind.CAS, rear, rear + total
-            )
-            yield op
-            stats.custom[K_PROXY_ATOMICS] += 1
-            if bool(op.success[0]):
+            if (yield from self._cas(ctx, REAR, rear, total)):
                 break
             if probe is not None:
                 probe.queue_instant(self.prefix, "cas_retry", probe.now, 1)

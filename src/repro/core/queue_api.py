@@ -2,8 +2,8 @@
 
 The paper's three variants (BASE, AN, RF/AN) implement it directly.  The
 rest configure one of them: NAIVE and AN extend BASE; GROW (segment
-storage) and SPILL (an overflow ring) run RF/AN's protocol; SHARDED and
-DIST compose several inner queues.
+storage) and SPILL (an overflow ring) run RF/AN's protocol; SHARDED
+composes several inner queues and DIST composes several AN queues.
 
 A :class:`DeviceQueue` is a *device-resident* data structure: its state
 lives entirely in :class:`~repro.simt.memory.GlobalMemory` buffers
@@ -42,7 +42,17 @@ from typing import Generator, Iterable, Optional
 
 import numpy as np
 
-from repro.simt import Abort, GlobalMemory, KernelContext, MemRead, Op
+from repro.simt import (
+    Abort,
+    AtomicKind,
+    AtomicRMW,
+    GlobalMemory,
+    KernelContext,
+    LocalOp,
+    MemRead,
+    Op,
+)
+from repro.simt.lanes import rank_within
 from repro.simt.memory import MemoryFault
 
 from .constants import DNA, FRONT, REAR
@@ -246,6 +256,33 @@ class DeviceQueue(abc.ABC):
             f"queue full: queue {self.prefix!r} {detail}",
             self.prefix, capacity, fill,
         )
+
+    def _aggregate(
+        self, ctx: KernelContext, st: WavefrontQueueState, n: int
+    ) -> Generator[Op, Op, tuple]:
+        """The wavefront-local aggregation of the ``n`` hungry lanes
+        (Listing 1 lines 2-9): one LDS round that ranks them.  Returns
+        ``(hungry, ranks, total)``: the hungry mask, each lane's rank
+        among the hungry lanes, and their count."""
+        hungry = st.hungry_mask()
+        ctx.stats.custom[K_DEQ_REQUESTS] += n
+        probe = ctx.probe
+        if probe is not None:
+            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
+        ranks, total = rank_within(hungry)
+        yield LocalOp(ctx.device.lds_op_cycles)
+        return hungry, ranks, total
+
+    def _cas(
+        self, ctx: KernelContext, word: int, old: int, n: int
+    ) -> Generator[Op, Op, bool]:
+        """The proxy lane's single CAS of control ``word`` from ``old`` to
+        ``old + n``, counted as one proxy atomic.  Returns whether it
+        won; retrying is the caller's policy."""
+        op = AtomicRMW(self.buf_ctrl, word, AtomicKind.CAS, old, old + n)
+        yield op
+        ctx.stats.custom[K_PROXY_ATOMICS] += 1
+        return bool(op.success[0])
 
     def _sampled(self, probe, ctrl: MemRead) -> tuple:
         """Decode a completed :meth:`_read_ctrl` into ``(front, rear)``

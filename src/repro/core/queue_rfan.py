@@ -41,13 +41,12 @@ from repro.simt import (
     Op,
 )
 from repro.simt.engine import transactions_for
-from repro.simt.lanes import rank_within, segmented_rank
+from repro.simt.lanes import segmented_rank
 
 from .constants import DNA, FRONT, REAR
 from .queue_api import (
     DeviceQueue,
     K_ARRIVAL_CHECKS,
-    K_DEQ_REQUESTS,
     K_DEQ_TOKENS,
     K_ENQ_TOKENS,
     K_PROXY_ATOMICS,
@@ -261,19 +260,14 @@ class RetryFreeQueue(DeviceQueue):
         self, ctx: KernelContext, st: WavefrontQueueState, n_hungry: int
     ) -> Generator[Op, Op, None]:
         """Listing 1: park every hungry lane on its own fresh slot."""
-        probe = ctx.probe
-        hungry = st.hungry_mask()
-        ctx.stats.custom[K_DEQ_REQUESTS] += n_hungry
-        if probe is not None:
-            probe.wf_phase(ctx.wf_id, "reserve", self.prefix)
-        ranks, total = rank_within(hungry)
         # lock-step local atomic_inc: zeroing by the proxy + per-lane
         # increment, one LDS round (lines 2-9 of Listing 1).
-        yield LocalOp(ctx.device.lds_op_cycles)
+        hungry, ranks, total = yield from self._aggregate(ctx, st, n_hungry)
         # proxy thread reserves `total` slots with one AFA (line 13).
         base = yield from self._advance(ctx, FRONT, total)
         lanes = np.flatnonzero(hungry)
         st.watch(lanes, base + ranks[lanes])
+        probe = ctx.probe
         if probe is not None:
             probe.queue_watch(self.prefix, base + ranks[lanes], probe.now)
 

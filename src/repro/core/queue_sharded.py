@@ -68,8 +68,6 @@ import numpy as np
 
 from repro.simt import (
     Abort,
-    AtomicKind,
-    AtomicRMW,
     GlobalMemory,
     KernelContext,
     MemRead,
@@ -82,7 +80,6 @@ from .queue_api import (
     DeviceQueue,
     K_ARRIVAL_CHECKS,
     K_CAS_ROUNDS,
-    K_PROXY_ATOMICS,
     queue_full,
 )
 from .queue_an import ArbitraryNQueue
@@ -391,10 +388,7 @@ class ShardedQueue(DeviceQueue):
         #    This is the only non-retry-free step of the composition and
         #    it is deliberately not retried: a lost race means either the
         #    victim's own lanes or another thief took the surplus.
-        op = AtomicRMW(v.buf_ctrl, FRONT, AtomicKind.CAS, front, front + m)
-        yield op
-        custom[K_PROXY_ATOMICS] += 1
-        if not bool(op.success[0]):
+        if not (yield from v._cas(ctx, FRONT, front, m)):
             custom[K_STEAL_CAS_FAIL] += 1
             custom[K_CAS_ROUNDS] += 1
             custom[self._k_steal_cas_fail[victim_idx]] += 1

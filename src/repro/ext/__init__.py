@@ -5,7 +5,8 @@
   in DESIGN.md §7.
 * :class:`~repro.ext.distributed.DistributedWorkQueues` — the distributed
   queuing + stealing alternative from the related work (Tzeng et al.
-  2010), for the single-vs-distributed trade-off bench.
+  2010), for the single-vs-distributed trade-off bench: a set of AN
+  queues whose steals are plain AN dequeues at the victim.
 * :func:`~repro.ext.hybrid_bfs.run_hybrid_bfs` — direction-optimizing
   BFS (the "faster BFS" of the paper's reference [9]), for the top-down
   vs hybrid follow-up comparison.

@@ -5,14 +5,19 @@ the design space "from a single monolithic task queue to distributed
 queuing with task stealing and donation".  The paper itself argues a
 single low-contention queue; this module implements the distributed
 alternative so the trade-off can be measured on the same simulator
-(``benchmarks/bench_ext_distributed.py``):
+(``benchmarks/bench_ext_distributed.py``).
 
-* one bounded CAS queue (with valid-flag hand-off) per *queue group*;
-  each wavefront's home queue is ``wf_id % n_queues``;
-* enqueues go to the home queue (proxy-aggregated CAS reserve);
+DIST is a topology over the paper's AN queue (§5.3): ``shards`` holds
+one :class:`~repro.core.queue_an.ArbitraryNQueue` per queue group, and
+every reservation, hand-off and store runs AN's own steps.  What DIST
+adds is only where those steps go:
+
+* each wavefront's home queue is ``wf_id % n_queues``; enqueues go to
+  the home queue (optionally *donating* half of a large burst to the
+  next queue);
 * dequeues try the home queue first; when it is empty, the wavefront
   *steals*: it probes the other queues round-robin, one victim per work
-  cycle;
+  cycle, and a steal is a plain AN dequeue at the victim;
 * the global termination protocol is unchanged — in-flight counting is
   queue-layout agnostic.
 
@@ -24,34 +29,16 @@ layout narrows the gap as contention rises.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List
+from typing import Dict, Generator, Iterable, List
 
 import numpy as np
 
-from repro.core.constants import FRONT, REAR
-from repro.core.queue_api import (
-    DeviceQueue,
-    K_CAS_ROUNDS,
-    K_DEQ_REQUESTS,
-    K_DEQ_TOKENS,
-    K_EMPTY_EXC,
-    K_ENQ_TOKENS,
-    K_PROXY_ATOMICS,
-    QueueFull,
-    queue_full,
-)
+from repro.core.constants import FRONT
+from repro.core.queue_an import ArbitraryNQueue
+from repro.core.queue_api import DeviceQueue, K_CAS_ROUNDS, K_EMPTY_EXC
 from repro.core.state import WavefrontQueueState
-from repro.simt import (
-    AtomicKind,
-    AtomicRMW,
-    GlobalMemory,
-    KernelContext,
-    LocalOp,
-    MemRead,
-    MemWrite,
-    Op,
-)
-from repro.simt.lanes import rank_within, segmented_rank
+from repro.simt import GlobalMemory, KernelContext, Op
+from repro.simt.lanes import rank_within
 
 K_STEALS = "queue.steal_attempts"
 K_STEAL_HITS = "queue.steal_hits"
@@ -59,7 +46,7 @@ K_DONATIONS = "queue.donated_tokens"
 
 
 class DistributedWorkQueues(DeviceQueue):
-    """N proxy-aggregated CAS queues with round-robin stealing."""
+    """N AN queues with round-robin stealing and burst donation."""
 
     variant = "DIST"
     retry_free = False
@@ -85,106 +72,73 @@ class DistributedWorkQueues(DeviceQueue):
         super().__init__(capacity, prefix=prefix, circular=circular)
         self.n_queues = n_queues
         self.donate_threshold = donate_threshold
-        #: per-wavefront steal cursor lives in the state cache dict; the
-        #: queue object itself stays immutable/shareable.
+        #: the AN queues, ``<prefix>.<q>.{data,ctrl,valid}`` in memory.
+        self.shards: List[ArbitraryNQueue] = [
+            ArbitraryNQueue(capacity, prefix=f"{prefix}.{q}", circular=circular)
+            for q in range(n_queues)
+        ]
+        #: per-wavefront steal cursor, reset at every allocate() so one
+        #: queue object can serve successive launches.
+        self._cursor: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _ctrl(self, q: int) -> str:
-        return f"{self.prefix}.{q}.ctrl"
-
-    def _data(self, q: int) -> str:
-        return f"{self.prefix}.{q}.data"
-
-    def _valid(self, q: int) -> str:
-        return f"{self.prefix}.{q}.valid"
-
     def allocate(self, memory: GlobalMemory) -> None:
-        for q in range(self.n_queues):
-            memory.alloc(self._data(q), self.capacity, fill=0)
-            memory.mark_hot(self._data(q))
-            memory.alloc(self._valid(q), self.capacity, fill=0)
-            memory.mark_hot(self._valid(q))
-            memory.alloc(self._ctrl(q), 2, fill=0)
+        for sh in self.shards:
+            sh.allocate(memory)
+        self._cursor.clear()
 
     def seed(self, memory: GlobalMemory, tokens: Iterable[int]) -> int:
-        toks = np.asarray(list(tokens), dtype=np.int64)
-        if np.any(toks < 0):
-            raise ValueError("task tokens must be non-negative")
-        for i, t in enumerate(toks):
-            q = i % self.n_queues
-            ctrl = memory[self._ctrl(q)]
-            rear = int(ctrl[REAR])
-            if rear + 1 > self.capacity:
-                raise QueueFull(f"seed overflows queue {q}")
-            memory[self._data(q)][self._phys(rear)] = t
-            memory[self._valid(q)][self._phys(rear)] = 1
-            ctrl[REAR] = rear + 1
-        return int(toks.size)
+        """Round-robin the initial tokens (token ``i`` to queue
+        ``i % n_queues``)."""
+        toks = list(tokens)
+        return sum(
+            sh.seed(memory, toks[q :: self.n_queues])
+            for q, sh in enumerate(self.shards)
+        )
+
+    def drain_host(self, memory: GlobalMemory) -> np.ndarray:
+        return np.concatenate([sh.drain_host(memory) for sh in self.shards])
 
     # ------------------------------------------------------------------
-    def _home(self, ctx: KernelContext) -> int:
-        return ctx.wf_id % self.n_queues
-
     def acquire(
         self, ctx: KernelContext, st: WavefrontQueueState
     ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
         n = st.n_hungry
         if n == 0:
             return
-        hungry = st.hungry_mask()
-        stats.custom[K_DEQ_REQUESTS] += n
-        ranks, _ = rank_within(hungry)
-        yield LocalOp(dev.lds_op_cycles)
+        custom = ctx.stats.custom
+        wf = ctx.wf_id
+        home = wf % self.n_queues
+        hq = self.shards[home]
+        hq._probe(ctx)  # registered before the aggregation's phase event
+        hungry, ranks, _ = yield from hq._aggregate(ctx, st, n)
 
         # probe order: home queue, then one steal victim per work cycle
-        if not isinstance(st.cache, dict):
-            st.cache = {"steal_cursor": 0}
-        home = self._home(ctx)
-        cursor = st.cache["steal_cursor"]
-        victim = (home + 1 + cursor) % self.n_queues
-        probes = [home] if self.n_queues == 1 else [home, victim]
-
-        for probe_i, q in enumerate(probes):
-            is_steal = probe_i > 0
-            if is_steal:
-                stats.custom[K_STEALS] += 1
-                st.cache["steal_cursor"] = (cursor + 1) % max(
-                    self.n_queues - 1, 1
-                )
-            ctrl = MemRead(self._ctrl(q), np.array([FRONT, REAR], dtype=np.int64))
+        probes = [home]
+        if self.n_queues > 1:
+            cursor = self._cursor.get(wf, 0)
+            probes.append((home + 1 + cursor) % self.n_queues)
+        for q in probes:
+            sh = self.shards[q]
+            steal = q != home
+            if steal:
+                custom[K_STEALS] += 1
+                self._cursor[wf] = (cursor + 1) % (self.n_queues - 1)
+            probe = sh._probe(ctx)
+            ctrl = sh._read_ctrl()
             yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
+            front, rear = sh._sampled(probe, ctrl)
             m = min(n, rear - front)
             if m <= 0:
-                if not is_steal and self.n_queues == 1:
-                    stats.custom[K_EMPTY_EXC] += n
                 continue
-            op = AtomicRMW(self._ctrl(q), FRONT, AtomicKind.CAS, front, front + m)
-            yield op
-            stats.custom[K_PROXY_ATOMICS] += 1
-            if not bool(op.success[0]):
-                stats.custom[K_CAS_ROUNDS] += 1
+            if not (yield from sh._cas(ctx, FRONT, front, m)):
+                custom[K_CAS_ROUNDS] += 1
                 continue
-            if is_steal:
-                stats.custom[K_STEAL_HITS] += 1
-            served = hungry & (ranks < m)
-            lanes = np.flatnonzero(served)
-            phys = self._phys(front + ranks[served])
-            while True:
-                vread = MemRead(self._valid(q), phys)
-                yield vread
-                if np.all(vread.result == 1):
-                    break
-                stats.custom[K_CAS_ROUNDS] += 1
-            dread = MemRead(self._data(q), phys)
-            yield dread
-            yield MemWrite(self._valid(q), phys, 0)
-            st.grant(lanes, dread.result)
-            stats.custom[K_DEQ_TOKENS] += int(lanes.size)
+            if steal:
+                custom[K_STEAL_HITS] += 1
+            yield from sh._handoff(ctx, st, hungry, ranks, front, m)
             return
-        stats.custom[K_EMPTY_EXC] += n
+        custom[K_EMPTY_EXC] += n
 
     def publish(
         self,
@@ -197,6 +151,8 @@ class DistributedWorkQueues(DeviceQueue):
         total = int(np.maximum(counts, 0).sum())
         if total == 0:
             return
+        home = ctx.wf_id % self.n_queues
+        parts = [(home, counts)]
         if (
             self.donate_threshold is not None
             and self.n_queues > 1
@@ -208,63 +164,9 @@ class DistributedWorkQueues(DeviceQueue):
             keep = (ranks % 2 == 0) & (counts > 0)
             give = (counts > 0) & ~keep
             ctx.stats.custom[K_DONATIONS] += int(counts[give].sum())
-            yield from self._publish_to(
-                ctx, self._home(ctx), np.where(keep, counts, 0), tokens
-            )
-            yield from self._publish_to(
-                ctx,
-                (self._home(ctx) + 1) % self.n_queues,
-                np.where(give, counts, 0),
-                tokens,
-            )
-            return
-        yield from self._publish_to(ctx, self._home(ctx), counts, tokens)
-
-    def _publish_to(
-        self,
-        ctx: KernelContext,
-        q: int,
-        counts: np.ndarray,
-        tokens: np.ndarray,
-    ) -> Generator[Op, Op, None]:
-        stats = ctx.stats
-        dev = ctx.device
-        counts = np.asarray(counts, dtype=np.int64)
-        has_new = counts > 0
-        if not has_new.any():
-            return
-        ranks, total = segmented_rank(has_new, counts)
-        yield LocalOp(dev.lds_op_cycles)
-
-        while True:
-            ctrl = MemRead(self._ctrl(q), np.array([FRONT, REAR], dtype=np.int64))
-            yield ctrl
-            front, rear = int(ctrl.result[0]), int(ctrl.result[1])
-            full = (
-                rear + total - front > self.capacity
-                if self.circular
-                else rear + total > self.capacity
-            )
-            if full:
-                yield queue_full(
-                    f"distributed queue {q} full: fill "
-                    f"{rear - front}/{self.capacity} (rear={rear} "
-                    f"front={front} need={total})",
-                    f"{self.prefix}.{q}", self.capacity, rear - front,
-                    shard=q,
-                )
-            op = AtomicRMW(self._ctrl(q), REAR, AtomicKind.CAS, rear, rear + total)
-            yield op
-            stats.custom[K_PROXY_ATOMICS] += 1
-            if bool(op.success[0]):
-                break
-            stats.custom[K_CAS_ROUNDS] += 1
-
-        lane_base = rear + ranks
-        max_count = int(counts.max())
-        for t in range(max_count):
-            active = counts > t
-            phys = self._phys(lane_base[active] + t)
-            yield MemWrite(self._data(q), phys, tokens[active, t])
-            yield MemWrite(self._valid(q), phys, 1)
-        stats.custom[K_ENQ_TOKENS] += int(total)
+            parts = [
+                (home, np.where(keep, counts, 0)),
+                ((home + 1) % self.n_queues, np.where(give, counts, 0)),
+            ]
+        for q, c in parts:
+            yield from self.shards[q].publish(ctx, st, c, tokens)

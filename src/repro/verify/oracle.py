@@ -630,10 +630,12 @@ class MultiQueueOracle(Probe):
     """The sharded-queue specification: per-shard FIFO + transfer legality.
 
     Wraps one :class:`InvariantOracle` per shard of a
-    :class:`~repro.core.queue_sharded.ShardedQueue` — every per-shard
-    invariant of the sequential spec keeps holding verbatim inside each
-    shard — and layers the cross-shard rules of the steal protocol on
-    top:
+    :class:`~repro.core.queue_sharded.ShardedQueue` or of a
+    :class:`~repro.ext.distributed.DistributedWorkQueues` — every
+    per-shard invariant of the sequential spec keeps holding verbatim
+    inside each shard — and layers the cross-shard rules of SHARDED's
+    steal protocol on top (a DIST steal is a plain dequeue at the
+    victim, so no transfer ever fires):
 
     * a transfer may only move slots the thief dequeue-reserved at the
       victim (``steal-unreserved-slot``), carrying exactly the tokens
@@ -697,7 +699,8 @@ class MultiQueueOracle(Probe):
 
     def _fail(self, invariant: str, detail: str) -> None:
         raise VerificationError(
-            invariant, f"SHARDED queue {self.queue.prefix!r}: {detail}"
+            invariant,
+            f"{self.queue.variant} queue {self.queue.prefix!r}: {detail}",
         )
 
     # -- per-shard event dispatch --------------------------------------

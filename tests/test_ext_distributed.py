@@ -3,22 +3,31 @@
 ``tests/test_ext_queues.py`` pins the happy paths (home dequeue,
 stealing, seeding); these tests exercise what it leaves dark: the
 donation mechanism, constructor/seed validation, circular layouts,
-steal-cursor rotation, and the queue-full abort surfacing through the
-scheduler.
+steal-cursor rotation, the queue-full abort surfacing through the
+scheduler, and the multi-queue oracle over DIST's AN shards.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core import QueueFull, SchedulerControl, persistent_kernel
+from repro.core import (
+    QueueFull,
+    SchedulerControl,
+    WorkCycleResult,
+    persistent_kernel,
+)
 from repro.ext import DistributedWorkQueues
 from repro.ext.distributed import K_DONATIONS, K_STEALS
-from repro.simt import Engine, KernelAbort
+from repro.simt import Compute, Engine, KernelAbort, QueueFullError
+from repro.verify.oracle import MultiQueueOracle
+from repro.verify.schedule import RandomController
 
 from test_core_scheduler import CountdownWorker, FanoutWorker
 
 
-def run_with_queue(q, worker, seeds, testgpu, n_wf=6):
+def run_with_queue(q, worker, seeds, testgpu, n_wf=6, observers=()):
     eng = Engine(testgpu)
     sched = SchedulerControl()
     q.allocate(eng.memory)
@@ -26,8 +35,33 @@ def run_with_queue(q, worker, seeds, testgpu, n_wf=6):
     q.seed(eng.memory, seeds)
     sched.seed(eng.memory, len(seeds))
     kern = persistent_kernel(q, worker, sched)
-    res = eng.launch(kern, n_wf, params={"max_work_cycles": 500_000})
+    res = eng.launch(
+        kern, n_wf, params={"max_work_cycles": 500_000}, observers=observers
+    )
     return eng, sched, res
+
+
+class RelayWorker:
+    """Token ``v`` spawns ``v + 1000`` while ``v // 1000 < hops``: each
+    seed starts a chain of ``hops + 1`` tasks, one token in flight per
+    chain, so a tight circular ring keeps wrapping."""
+
+    def __init__(self, hops):
+        self.hops = hops
+
+    def make_state(self, ctx):
+        return None
+
+    def work_cycle(self, ctx, wstate, st):
+        active = st.has_token
+        yield Compute(4)
+        toks = st.token.copy()
+        counts = np.where(active & (toks // 1000 < self.hops), 1, 0)
+        return WorkCycleResult(
+            completed=active.copy(),
+            new_counts=counts.astype(np.int64),
+            new_tokens=(toks + 1000).reshape(-1, 1),
+        )
 
 
 class TestDonation:
@@ -55,7 +89,7 @@ class TestDonation:
         eng, _, res = run_with_queue(
             q, FanoutWorker(255), [0], testgpu, n_wf=2
         )
-        rears = [int(eng.memory[q._ctrl(i)][1]) for i in range(2)]
+        rears = [int(eng.memory[q.shards[i].buf_ctrl][1]) for i in range(2)]
         assert min(rears) > 0
         assert res.stats.custom[K_DONATIONS] > 0
 
@@ -87,6 +121,13 @@ class TestValidationAndLayout:
         q.allocate(eng.memory)
         with pytest.raises(ValueError):
             q.seed(eng.memory, [1, -2])
+
+    def test_drain_host_returns_every_queue_content(self, testgpu):
+        eng = Engine(testgpu)
+        q = DistributedWorkQueues(capacity=16, n_queues=2)
+        q.allocate(eng.memory)
+        q.seed(eng.memory, [5, 6, 7])
+        assert Counter(q.drain_host(eng.memory).tolist()) == Counter([5, 6, 7])
 
     def test_circular_layout_completes_countdown(self, testgpu):
         # tight circular rings force physical-slot wrap-around in every
@@ -127,3 +168,60 @@ class TestStealRotation:
         assert res.stats.custom[K_STEALS] > res.stats.custom.get(
             "queue.steal_hits", 0
         )
+
+
+class TestEmptyAccounting:
+    def test_single_queue_counts_an_empty_probe_once(self, testgpu):
+        # with one queue the home probe is the only probe: an empty one
+        # is one queue-empty exception per hungry lane, never two.
+        q = DistributedWorkQueues(capacity=4096, n_queues=1)
+        _, _, res = run_with_queue(q, CountdownWorker(), [10, 6, 3, 1], testgpu)
+        custom = res.stats.custom
+        assert 0 < custom["queue.empty_exceptions"]
+        assert custom["queue.empty_exceptions"] <= custom["queue.dequeue_requests"]
+
+
+class TestCircularRelease:
+    def test_wrapping_publish_waits_for_release_or_aborts(self, testgpu):
+        # a 5-slot ring per queue with 8 chains in flight wraps under an
+        # adversarial schedule; a producer must never overwrite a slot
+        # whose previous token is still unconsumed.  Either every task
+        # completes or the launch aborts queue-full; never a short count.
+        q = DistributedWorkQueues(capacity=5, n_queues=2, circular=True)
+        ctrl = RandomController(0, hold_prob=0.3, burst=32)
+        try:
+            _, _, res = run_with_queue(
+                q, RelayWorker(30), list(range(8)), testgpu, n_wf=4,
+                observers=[ctrl],
+            )
+        except QueueFullError:
+            return
+        assert res.stats.custom["scheduler.tasks_completed"] == 8 * 31
+
+
+class TestMultiQueueOracle:
+    @pytest.mark.parametrize(
+        "n_queues,donate", [(3, None), (3, 1), (4, None)]
+    )
+    def test_fanout_passes_the_multi_queue_oracle(
+        self, n_queues, donate, testgpu
+    ):
+        # every steal is a plain AN dequeue at the victim, so each shard's
+        # own sequential spec holds and nothing crosses shards.
+        n = 1023
+        q = DistributedWorkQueues(
+            capacity=8192, n_queues=n_queues, donate_threshold=donate
+        )
+        oracle = MultiQueueOracle(q)
+        oracle.note_seed([0])
+        eng, sched, res = run_with_queue(
+            q, FanoutWorker(n), [0], testgpu, observers=[oracle]
+        )
+        assert sched.is_done(eng.memory)
+        oracle.finish(eng.memory)
+        assert oracle.delivered_token_counts() == Counter(range(n))
+        assert oracle.events > 0
+        # the probe is passive: a bare run matches the checked one
+        _, _, bare = run_with_queue(q, FanoutWorker(n), [0], testgpu)
+        assert bare.cycles == res.cycles
+        assert bare.stats.snapshot() == res.stats.snapshot()

@@ -91,8 +91,8 @@ class TestDistributed:
         q = DistributedWorkQueues(capacity=16, n_queues=2)
         q.allocate(eng.memory)
         q.seed(eng.memory, [1, 2, 3])
-        assert eng.memory[q._ctrl(0)][1] == 2  # rear of queue 0
-        assert eng.memory[q._ctrl(1)][1] == 1
+        assert eng.memory[q.shards[0].buf_ctrl][1] == 2  # rear of queue 0
+        assert eng.memory[q.shards[1].buf_ctrl][1] == 1
 
     def test_invalid_n_queues(self):
         with pytest.raises(ValueError):

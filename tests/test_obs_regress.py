@@ -1,4 +1,5 @@
-"""Tests for the regression sentinel and tools/bench_diff.py."""
+"""Tests for the regression sentinel, tools/bench_diff.py and the
+guards of tools/bench_engine.py."""
 
 import importlib.util
 import json
@@ -18,11 +19,18 @@ from repro.obs.regress import (
 
 REPO = Path(__file__).resolve().parents[1]
 
-spec = importlib.util.spec_from_file_location(
-    "bench_diff", REPO / "tools" / "bench_diff.py"
-)
-bench_diff = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_diff)
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, REPO / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_diff = _load_tool("bench_diff")
+bench_engine = _load_tool("bench_engine")
 
 
 class TestRules:
@@ -199,3 +207,70 @@ class TestBenchDiffCli:
                       wall_seconds=1.0, created=1_700_000_060)
         assert bench_diff.main(["last~1", "last"]) == 0
         assert "VERDICT: PASS" in capsys.readouterr().out
+
+
+class TestBenchEngineGuard:
+    """``--guard`` evaluates all of its checks before exiting."""
+
+    POINT = {"seconds": 1.0, "issued_ops": 10, "cycles": 100,
+             "ops_per_sec": 10}
+
+    @pytest.fixture
+    def fake_benches(self, monkeypatch):
+        # canned datapoints: the guard logic runs, no launch does
+        point = self.POINT
+        for name in ("bench_soup", "bench_bfs", "bench_bfs_sharded",
+                     "bench_bfs_sharded_imbalanced"):
+            monkeypatch.setattr(
+                bench_engine, name, lambda repeats=3: dict(point)
+            )
+
+        def fracs(flight, grow):
+            monkeypatch.setattr(
+                bench_engine, "bench_bfs_flight",
+                lambda repeats, bare: dict(point, overhead_frac=flight),
+            )
+            monkeypatch.setattr(
+                bench_engine, "bench_bfs_grow",
+                lambda repeats, bare: dict(point, overhead_frac=grow),
+            )
+
+        return fracs
+
+    def _guard(self, tmp_path, baseline_seconds):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"benchmarks": {
+            "soup": dict(self.POINT, seconds=baseline_seconds)
+        }}))
+        out = tmp_path / "bench.json"
+        argv = ["--quick", "--no-ledger", "--out", str(out),
+                "--baseline", str(base), "--guard", "--flight-budget", "0.35"]
+        return argv, out
+
+    def test_wall_clock_and_flight_failures_are_both_named(
+        self, fake_benches, tmp_path
+    ):
+        fake_benches(flight=0.9, grow=0.01)
+        # soup runs 2x its baseline: past the 35% wall-clock tolerance
+        argv, out = self._guard(tmp_path, baseline_seconds=0.5)
+        with pytest.raises(SystemExit) as exc:
+            bench_engine.main(argv)
+        msg = str(exc.value)
+        assert "wall-clock guard" in msg
+        assert "flight guard" in msg
+        assert "grow guard" not in msg
+        guard = json.loads(out.read_text())["guard"]
+        assert guard["failed"] == ["wall-clock", "flight"]
+        assert guard["passed"] is False
+        assert guard["flight_overhead_frac"] == 0.9
+        assert guard["grow_overhead_frac"] == 0.01
+        assert set(guard["regressions"]) == {"soup"}
+
+    def test_passing_guard_records_every_check(self, fake_benches, tmp_path):
+        fake_benches(flight=0.1, grow=0.01)
+        argv, out = self._guard(tmp_path, baseline_seconds=1.0)
+        assert bench_engine.main(argv) == 0
+        guard = json.loads(out.read_text())["guard"]
+        assert guard["failed"] == [] and guard["passed"] is True
+        assert guard["flight_budget"] == 0.35
+        assert guard["grow_budget"] == 0.10

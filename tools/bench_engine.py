@@ -47,7 +47,11 @@ probes-off hot path must stay within noise of the recorded baseline.
 The same gate also budgets the always-on flight recorder: the
 ``flight`` datapoint re-runs the ``bfs`` launch with the recorder and
 liveness watchdog attached, and ``--guard`` fails when its measured
-``overhead_frac`` exceeds ``--flight-budget``.
+``overhead_frac`` exceeds ``--flight-budget`` (and likewise the GROW
+launch's simulated-cycle overhead against ``--grow-budget``).  Every
+check runs and is recorded (``report["guard"]["failed"]`` names the
+failed ones) before the report is written; the tool then exits
+non-zero naming each check that failed.
 
 ``--vector-guard`` (no baseline needed) checks measured throughput
 against the absolute floors recorded in the regression-sentinel rule
@@ -526,6 +530,9 @@ def main(argv=None) -> int:
             report["benchmarks"]["harness_quick_parallel"] = bench_harness(jobs)
             print(f"  {report['benchmarks']['harness_quick_parallel']}")
 
+    # every requested check is evaluated and recorded before the report
+    # is written; the run then fails naming each check that failed.
+    failed = []
     if args.vector_guard:
         from repro.obs.regress import DEFAULT_RULES, check_floors, flatten_metrics
 
@@ -545,13 +552,13 @@ def main(argv=None) -> int:
             },
         }
         if violations:
-            Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
             detail = ", ".join(
                 f"{name}={v} < floor {f}"
                 for name, (v, f) in violations.items()
             )
-            raise SystemExit(f"vector guard failed: {detail}")
-        print(f"vector guard passed (floors: {floors})")
+            failed.append(f"vector-floor guard: {detail}")
+        else:
+            print(f"vector guard passed (floors: {floors})")
 
     if args.baseline:
         base = json.loads(Path(args.baseline).read_text())
@@ -581,50 +588,45 @@ def main(argv=None) -> int:
                 and cur["seconds"]
                 > base["benchmarks"][name]["seconds"] * (1.0 + tol)
             }
+            frac = report["benchmarks"]["flight"]["overhead_frac"]
+            gfrac = report["benchmarks"]["bfs_grow"]["overhead_frac"]
+            checks = {
+                "wall-clock": (
+                    not slow,
+                    f"slower than baseline by more than {tol:.0%}: {slow}",
+                ),
+                "flight": (
+                    frac <= args.flight_budget,
+                    f"flight-recorder overhead_frac {frac} > budget "
+                    f"{args.flight_budget}",
+                ),
+                "grow": (
+                    gfrac <= args.grow_budget,
+                    f"grow-queue simulated-cycle overhead_frac {gfrac} > "
+                    f"budget {args.grow_budget}",
+                ),
+            }
+            guard_failed = [name for name, (ok, _) in checks.items() if not ok]
             report["guard"] = {
                 "tolerance": tol,
-                "passed": not slow,
                 "regressions": slow,
+                "flight_budget": args.flight_budget,
+                "flight_overhead_frac": frac,
+                "grow_budget": args.grow_budget,
+                "grow_overhead_frac": gfrac,
+                "failed": guard_failed,
+                "passed": not guard_failed,
             }
-            if slow:
-                Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-                raise SystemExit(
-                    f"overhead guard failed (tolerance {tol:.0%}): {slow}"
-                )
-            print(f"overhead guard passed (tolerance {tol:.0%})")
-
-            frac = report["benchmarks"]["flight"]["overhead_frac"]
-            report["guard"]["flight_budget"] = args.flight_budget
-            report["guard"]["flight_overhead_frac"] = frac
-            if frac > args.flight_budget:
-                report["guard"]["passed"] = False
-                Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-                raise SystemExit(
-                    f"flight-recorder overhead guard failed: "
-                    f"overhead_frac {frac} > budget {args.flight_budget}"
-                )
-            print(
-                f"flight-recorder overhead guard passed "
-                f"(overhead_frac {frac} <= budget {args.flight_budget})"
-            )
-
-            gfrac = report["benchmarks"]["bfs_grow"]["overhead_frac"]
-            report["guard"]["grow_budget"] = args.grow_budget
-            report["guard"]["grow_overhead_frac"] = gfrac
-            if gfrac > args.grow_budget:
-                report["guard"]["passed"] = False
-                Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-                raise SystemExit(
-                    f"grow-queue overhead guard failed: simulated-cycle "
-                    f"overhead_frac {gfrac} > budget {args.grow_budget}"
-                )
-            print(
-                f"grow-queue overhead guard passed "
-                f"(overhead_frac {gfrac} <= budget {args.grow_budget})"
-            )
+            for name, (ok, detail) in checks.items():
+                if ok:
+                    print(f"{name} guard passed")
+                else:
+                    failed.append(f"{name} guard: {detail}")
 
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
+    if failed:
+        raise SystemExit("\n".join(["guard failed:"] + failed))
     if not args.no_ledger:
         record_in_ledger(report, time.perf_counter() - t_start, argv)
     return 0
