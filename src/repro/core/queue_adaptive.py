@@ -68,6 +68,7 @@ from repro.simt.engine import transactions_for
 
 from .constants import DNA, REAR
 from .queue_api import (
+    DeviceQueue,
     K_ENQ_TOKENS,
     QueueFull,
     queue_full,
@@ -549,9 +550,8 @@ class SpillQueue(RetryFreeQueue):
         yield from self._pump(ctx)
         yield from super().acquire(ctx, st)
 
-    def parked_poll(self, st: WavefrontQueueState) -> None:
-        # never park: every idle cycle's acquire runs the pump first
-        return None
+    #: never park: every idle cycle's acquire runs the pump first
+    idle_cycle = DeviceQueue.idle_cycle
 
     def publish(
         self,

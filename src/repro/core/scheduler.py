@@ -12,13 +12,17 @@ done:
 4. account the new tasks in the in-flight counter, ``queue.publish``
    them, then account the completions — the wavefront whose decrement
    drives the counter to zero raises the done flag;
-5. park: after a cycle that ended with no tokens, if the queue offers a
-   ``parked_poll`` (RF/AN and GROW with every lane watching a slot), the
-   next idle cycles are one :class:`~repro.simt.ops.Park` of the
-   done-flag poll and that data poll.  The engine replays them while
-   both stay elided (up to ``max_work_cycles``); the kernel resumes
-   after the first read the engine does not replay, counts the replayed
-   cycles and goes on exactly where the step-by-step loop would be.
+5. park: after a cycle that ended with no tokens, if the queue offers
+   an idle cycle (:meth:`~repro.core.queue_api.DeviceQueue.idle_cycle`:
+   the fixed reads a starved ``acquire`` yields, such as RF/AN's data
+   poll, GROW's segment-map and data polls, or a SHARDED thief's home
+   poll and victim probes), the next idle cycles are one
+   :class:`~repro.simt.ops.Park` of the done-flag poll and those reads.
+   The engine replays them while each stays elided (up to
+   ``max_work_cycles``); the kernel resumes after the first read the
+   engine does not replay, counts the replayed cycles, lets the queue
+   count its own, and goes on exactly where the step-by-step loop would
+   be: the done-flag check, or the queue's step after that read.
 
 Termination protocol
 --------------------
@@ -65,7 +69,7 @@ from repro.simt import (
 from repro.simt.probe import overridden
 
 from .constants import DEFAULT_SUBTASKS_PER_CYCLE, DONE, PENDING
-from .queue_api import K_ARRIVAL_CHECKS, DeviceQueue
+from .queue_api import DeviceQueue
 from .state import WavefrontQueueState
 
 K_WORK_CYCLES = "scheduler.work_cycles"
@@ -145,6 +149,18 @@ class SchedulerControl:
         return int(memory[self.buf_ctrl][PENDING])
 
 
+def _noop() -> None:
+    pass
+
+
+def _then(first, second):
+    """A hook that calls ``first``, then ``second``."""
+    def both() -> None:
+        first()
+        second()
+    return both
+
+
 def persistent_kernel(
     queue: DeviceQueue,
     worker: Worker,
@@ -197,6 +213,13 @@ def persistent_kernel(
         else aggregate_termination
     )
 
+    # the queue's idle-cycle query, bound once: a queue that never parks
+    # costs no call per idle cycle
+    idle_query = (
+        None if type(queue).idle_cycle is DeviceQueue.idle_cycle
+        else queue.idle_cycle
+    )
+
     def kernel(ctx: KernelContext) -> Generator[Op, Op, None]:
         ctx.params.setdefault("subtasks_per_cycle", subtasks_per_cycle)
         stats = ctx.stats
@@ -221,48 +244,75 @@ def persistent_kernel(
         probe = ctx.probe
         # skip the per-acquire call when no probe records token counts
         sched_tokens = overridden(probe, "sched_tokens")
-        # the probe calls of one parked idle cycle, replayed by the engine
-        # after each elided read: what the kernel does between the
-        # done-flag poll and the data poll, then between the data poll
-        # and the next done-flag poll.
-        hooks = None
-        if probe is not None and probe.wants_idle_cycles:
+        # the probe calls of parked idle cycles are replayed by the engine
+        # after each elided read; only probes that want them get them.
+        hooked = probe is not None and probe.wants_idle_cycles
+        if hooked:
             wf_id = ctx.wf_id
-            prefix = queue.prefix
 
-            def spin() -> None:
-                probe.wf_phase(wf_id, "dna_spin", prefix)
-
-            def idle() -> None:
-                probe.queue_instant(prefix, "empty_poll", probe.now, wf_size)
+            def idle_end() -> None:
+                # after the acquire of an idle cycle, up to the next
+                # done-flag poll
                 if sched_tokens is not None:
                     sched_tokens(probe.now, wf_id, 0, wf_size)
                 probe.wf_phase(wf_id, "termination")
 
-            hooks = (spin, idle)
         # per-cycle counters accumulate in locals and flush in the finally
         # block (the engine closes kernel generators at launch teardown,
         # so the flush also runs for aborted or timed-out launches).
         idle_lanes = 0
-        # the queue's data poll to park on (set after an idle cycle), and
-        # the Park in flight, whose replayed cycles are not counted yet
-        poll = None
+        # the queue's idle cycle to park on (set after an idle cycle),
+        # and the Park in flight with its idle cycle, whose replayed
+        # reads are not counted yet
+        idle = None
         park = None
+        parked = None
+        # the queue reads of the last park, and its reads, hooks and
+        # quiet tests: idle cycles that share their reads share these
+        park_of = park_args = None
 
         def fold(n: int) -> None:
-            """Count ``n`` replayed completions of a park's reads: the
-            done-flag poll starts each idle cycle, the data poll of all
-            ``wf_size`` idle lanes ends it."""
+            """Count ``n`` replayed completions of the park on
+            ``parked``: each work cycle is the done-flag poll, then the
+            queue's reads, the last of which ends it for all ``wf_size``
+            idle lanes."""
             nonlocal cycles, idle_lanes
-            cycles += (n + 1) // 2
-            polls = n // 2
-            idle_lanes += polls * wf_size
-            custom[K_ARRIVAL_CHECKS] += polls * wf_size
+            per = parked.per_cycle + 1
+            polls = -(-n // per)
+            cycles += polls
+            idle_lanes += n // per * wf_size
+            parked.fold(n - polls)
+
+        def park_parts() -> tuple:
+            """The reads, hooks and quiet tests of a park on ``idle``:
+            each work cycle is the done-flag poll, then the queue's
+            reads.  A read's hook is the probe calls ``acquire`` makes
+            after it, plus the kernel's after the cycle's last read."""
+            k = idle.per_cycle
+            reads, hooks, quiet = [], [], []
+            for m in range(len(idle.reads) // k):
+                reads.append(dread)
+                reads += idle.reads[m * k : (m + 1) * k]
+                if idle.quiet is not None:
+                    quiet.append(None)
+                    quiet += idle.quiet[m * k : (m + 1) * k]
+                if hooked:
+                    calls = idle.calls[m * (k + 1) : (m + 1) * (k + 1)]
+                    hooks += [f or _noop for f in calls[:k]]
+                    last = calls[k]
+                    hooks.append(
+                        idle_end if last is None else _then(last, idle_end)
+                    )
+            return (
+                tuple(reads),
+                tuple(hooks) if hooked else None,
+                tuple(quiet) if idle.quiet is not None else None,
+            )
 
         try:
             while True:
-                polled = False
-                if poll is None:
+                step = None
+                if idle is None:
                     # 1. WorkRemains()? — poll the done flag.  An elided
                     # poll (dread.fresh False) means the control word is
                     # untouched since the previous cycle's check, which
@@ -271,29 +321,39 @@ def persistent_kernel(
                         probe.wf_phase(ctx.wf_id, "termination")
                     yield dread
                 else:
-                    # Parked: the engine replays idle cycles (done-flag
-                    # poll, data poll) while both reads are elided, at
-                    # most up to max_work_cycles, and resumes here right
-                    # after the first read it does not replay.
+                    # Parked: the engine replays idle cycles (the
+                    # done-flag poll, then the queue's reads) while every
+                    # read is elided or quiet, at most up to
+                    # max_work_cycles, and resumes here right after the
+                    # first read it does not replay.
+                    if idle.reads is not park_of:
+                        park_of = idle.reads
+                        park_args = park_parts()
                     if probe is not None:
-                        if hooks is None:
-                            probe.wf_phase(ctx.wf_id, "dna_spin", queue.prefix)
-                        else:
+                        if hooked:
                             probe.wf_phase(ctx.wf_id, "termination")
+                        else:
+                            probe.wf_phase(ctx.wf_id, *idle.mark)
+                    reads, hooks, quiet = park_args
+                    per = idle.per_cycle + 1
                     park = Park(
-                        (dread, poll), hooks,
+                        reads, hooks,
                         None if max_cycles is None
-                        else 2 * (max_cycles - cycles),
+                        else per * (max_cycles - cycles),
+                        idle.start * per, quiet,
                     )
-                    poll = None
+                    parked, idle = idle, None
                     yield park
                     n = park.done
+                    i = (park.start + n) % len(reads)
                     park = None
                     fold(n)
-                    polled = n & 1
-                if polled:
-                    # the park's data poll just completed
-                    yield from queue.after_poll(ctx, st)
+                    # the read that resumed the kernel, and the step after
+                    # it: the done-flag check, or the queue's own step
+                    if i % per:
+                        step = parked.steps[i - i // per - 1]
+                if step is not None:
+                    yield from step(ctx, st)
                 else:
                     if dread.fresh and int(dread.result[0]):
                         break
@@ -311,7 +371,8 @@ def persistent_kernel(
                 if sched_tokens is not None:
                     sched_tokens(probe.now, ctx.wf_id, st.n_token, wf_size)
                 if st.n_token == 0:
-                    poll = queue.parked_poll(st)
+                    if idle_query is not None:
+                        idle = idle_query(ctx, st, hooked)
                     continue
 
                 # 3. DoWorkUnit() — one work cycle of uniform sub-tasks.

@@ -62,12 +62,13 @@ execution model):
   skips one heap push+pop;
 * a kernel whose idle work cycle is a fixed cycle of re-yielded polls
   yields one :class:`~repro.simt.ops.Park` instead.  While its reads
-  complete elided on an otherwise idle CU, the engine runs the kernel's
-  per-read probe hooks and issues the next read itself; any other
-  completion (fresh, a busy or shared CU, a schedule controller, the
-  park's limit) resumes the generator.  Issues, completions, sequence
-  numbers and elision decisions are the ones the step-by-step loop makes
-  (docs/performance.md, "Parked wavefronts").
+  complete elided (or fresh but quiet) on an otherwise idle CU, the
+  engine runs the kernel's per-read probe hooks and issues the next
+  read itself; any other completion (fresh, a busy or shared CU, a
+  schedule controller, the park's limit) resumes the generator.
+  Issues, completions, sequence numbers and elision decisions are the
+  ones the step-by-step loop makes (docs/performance.md, "Parked
+  wavefronts").
 """
 
 from __future__ import annotations
@@ -869,18 +870,19 @@ class Engine:
                 kind = op_kind_get(cls)
                 if kind is None:
                     if cls is Park:
-                        # not an instruction: it issues its first read,
+                        # not an instruction: it issues its start read,
                         # and the replay needs each read's issue-to-
                         # completion delay (as computed for any read)
                         wf.park = op
-                        op.done = op.cur = 0
+                        op.done = 0
+                        op.cur = i = op.start
                         op.delays = tuple(
                             issue
                             + (l2_latency if is_hot(r.buf) else mem_latency)
                             + max(r.trans - 1, 0) * pipe
                             for r in op.reads
                         )
-                        wf.pending = op = op.reads[0]
+                        wf.pending = op = op.reads[i]
                         kind = _K_READ
                     else:
                         kind = _resolve_op_kind(cls, op)
@@ -1182,18 +1184,24 @@ class Engine:
                     park = wf.park
                     if park is not None:
                         if (
-                            not op.fresh
-                            and park.done != park.limit
+                            park.done != park.limit
                             and now >= cu.busy_until
                             and not cu.ready
                             and not controlled
+                            and (
+                                not op.fresh
+                                or park.quiet is not None
+                                and park.quiet[park.cur] is not None
+                                and park.quiet[park.cur](op)
+                            )
                         ):
-                            # Replay: the read is elided and the CU would
-                            # resume this wavefront right now.  Run the
-                            # kernel's hook for it and issue the park's
-                            # next read exactly as issue_from would issue
-                            # it (the CU is idle and no other wavefront is
-                            # ready, so no CU_FREE wake-up is due).
+                            # Replay: the read is elided (or its fresh
+                            # values are quiet) and the CU would resume
+                            # this wavefront right now.  Run the kernel's
+                            # hook for it and issue the park's next read
+                            # exactly as issue_from would issue it (the CU
+                            # is idle and no other wavefront is ready, so
+                            # no CU_FREE wake-up is due).
                             if probing:
                                 probe.now = now
                                 probe.cur_wf = wf.wid

@@ -195,18 +195,21 @@ class Fence(Op):
 class Park(Op):
     """A parked wavefront's idle work cycle, replayed by the engine.
 
-    Not an instruction: yielding a ``Park`` issues ``reads[0]``.  When a
-    read completes elided (``fresh`` False: the values cannot have
-    changed) and the kernel would be resumed at once (its CU idle, no
-    other wavefront ready, no schedule controller), the engine *replays*
-    the completion instead of resuming the kernel: it runs the read's
-    entry in ``hooks`` (the probe calls the kernel makes before its next
-    yield; ``hooks`` may be None) and issues the next read, cycling
-    through ``reads``.  At most ``limit`` completions are replayed (None:
-    no limit).  Any other completion resumes the kernel, with
-    :attr:`done` holding the number of replayed completions and
-    ``reads[done % len(reads)]`` the read that just completed, fresh or
-    not, whose hook has not run.
+    Not an instruction: yielding a ``Park`` issues ``reads[start]``.
+    When a read completes elided (``fresh`` False: the values cannot
+    have changed) and the kernel would be resumed at once (its CU idle,
+    no other wavefront ready, no schedule controller), the engine
+    *replays* the completion instead of resuming the kernel: it runs the
+    read's entry in ``hooks`` (the probe calls the kernel makes before
+    its next yield; ``hooks`` may be None) and issues the next read,
+    cycling through ``reads``.  A fresh completion is replayed the same
+    way when the read's entry in ``quiet`` (None, or one callable or
+    None per read) returns True for it: the kernel would do with those
+    values exactly what it does after an elided read.  At most
+    ``limit`` completions are replayed (None: no limit).  Any other
+    completion resumes the kernel, with :attr:`done` holding the number
+    of replayed completions and ``reads[(start + done) % len(reads)]``
+    the read that just completed, fresh or not, whose hook has not run.
 
     ``reads`` must be cached, prechecked :class:`MemRead` ops with a
     precomputed ``trans`` that the kernel re-yields anyway (the MemRead
@@ -214,10 +217,12 @@ class Park(Op):
     the one the step-by-step loop would make.
     """
 
-    __slots__ = ("reads", "hooks", "limit", "done", "cur", "delays")
+    __slots__ = ("reads", "hooks", "limit", "start", "quiet", "done", "cur",
+                 "delays")
 
     def __init__(self, reads: tuple, hooks: Optional[tuple] = None,
-                 limit: Optional[int] = None):
+                 limit: Optional[int] = None, start: int = 0,
+                 quiet: Optional[tuple] = None):
         if not reads or not all(
             type(r) is MemRead and r.prechecked and r.trans is not None
             for r in reads
@@ -228,11 +233,17 @@ class Park(Op):
             )
         if hooks is not None and len(hooks) != len(reads):
             raise ValueError("Park needs one hook per read")
+        if quiet is not None and len(quiet) != len(reads):
+            raise ValueError("Park needs one quiet test per read")
         if limit is not None and limit < 0:
             raise ValueError(f"Park limit must be non-negative, got {limit}")
+        if not 0 <= start < len(reads):
+            raise ValueError(f"Park start {start} is not a read index")
         self.reads = reads
         self.hooks = hooks
         self.limit = limit
+        self.start = start
+        self.quiet = quiet
         #: completions replayed so far (engine-maintained).
         self.done = 0
         #: engine-private: index of the read in flight, and each read's

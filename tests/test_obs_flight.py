@@ -476,6 +476,55 @@ class TestParkedWavefronts:
         assert got["empty_poll"] == want["empty_poll"] - polls
         assert got["termination"] == want["termination"] - polls - len(parks)
 
+    @pytest.mark.parametrize("case,mark", [
+        ("SHARDED4-rr-t1-Fijix56", "steal"),
+        ("SHARDED2-TESTGPUx4", "steal"),
+        ("GROW512-Fijix56", "dna_spin"),
+    ])
+    def test_composed_queues_mark_each_park_once(self, monkeypatch, case,
+                                                 mark):
+        # a SHARDED thief's park is marked `steal`, a GROW map-watcher's
+        # `dna_spin`; the replayed cycles leave no marks in the ring
+        import repro.core.scheduler as scheduler_mod
+        from repro.simt import Park
+
+        import test_park_pin_composed as composed
+
+        stepped = _PhaseCounter()
+        composed.launch(case, observers=[stepped])
+        parks = []
+
+        def counted_park(*args):
+            parks.append(Park(*args))
+            return parks[-1]
+
+        monkeypatch.setattr(scheduler_mod, "Park", counted_park)
+        with FlightSession(ring=self.RING) as fs:
+            composed.launch(case)
+        got = _ring_counts(fs.last)
+        assert parks and all(p.hooks is None for p in parks)
+        # the marks a replayed completion skips: those made between it
+        # and the next read of its park
+        skipped = Counter()
+        for p in parks:
+            n = len(p.reads)
+            for j in range(p.start, p.start + p.done):
+                buf, nxt = p.reads[j % n].buf, p.reads[(j + 1) % n].buf
+                if buf.endswith(".data"):
+                    skipped["empty_poll"] += 1
+                if nxt.endswith(".data"):
+                    skipped["dna_spin"] += 1
+                elif nxt == "sched.ctrl":
+                    skipped["termination"] += 1
+                elif nxt.endswith(".ctrl"):
+                    skipped["steal"] += 1
+        assert sum(skipped.values()) > 10 * len(parks)
+        want = stepped.counts
+        for name in ("dna_spin", "empty_poll", "steal", "termination"):
+            # each park's one mark replaces the termination mark before it
+            one = (name == mark) - (name == "termination")
+            assert got[name] == want[name] - skipped[name] + one * len(parks)
+
     def test_recorder_with_a_timeline_sees_every_cycle(self):
         alone = TimelineProbe()
         stepped = _PhaseCounter()

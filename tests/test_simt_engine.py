@@ -671,3 +671,101 @@ class TestPark:
             Park(reads, hooks=(lambda: None,))
         with pytest.raises(ValueError, match="non-negative"):
             Park(reads, limit=-1)
+        with pytest.raises(ValueError, match="read index"):
+            Park(reads, start=2)
+        with pytest.raises(ValueError, match="one quiet test per read"):
+            Park(reads, quiet=(None,))
+
+
+class TestParkCycles:
+    """Parks of a 3-read and a 9-read cycle, started anywhere in the
+    cycle, equal a kernel that yields the same reads one at a time:
+    cycles, ``SimStats`` and ``EXEC_COUNTS``."""
+
+    K = 60  # read completions per poller
+
+    @staticmethod
+    def _reads(n):
+        # over a plain and an L2-resident buffer; read 1 spans two
+        # transactions and covers the word the writer stores to
+        out = []
+        for j in range(n):
+            idx = np.array([1, 40] if j == 1 else [j], dtype=np.int64)
+            idx.setflags(write=False)
+            out.append(MemRead("hot" if j % 2 else "polled", idx,
+                               trans=transactions_for(idx), prechecked=True))
+        return tuple(out)
+
+    def _launch(self, n, parked, observers=(), limit=None, quiet=None):
+        """Wavefront 0 polls ``K`` times, alone on its CU; wavefront 1
+        (the other CU) stores into read 1's words twice meanwhile."""
+        seen = []
+        k_total = self.K
+
+        def kernel(ctx):
+            if ctx.wf_id == 1:
+                for t in (300, 900):
+                    yield Compute(t)
+                    yield MemWrite("hot", 40, t)
+                return
+            reads = self._reads(n)
+            hooks = tuple(lambda j=j: seen.append(j) for j in range(n))
+            tests = None
+            if quiet is not None:
+                tests = (None, quiet) + (None,) * (n - 2)
+            k = 0
+            while k < k_total:
+                if not parked:
+                    yield reads[k % n]
+                    k += 1
+                    continue
+                left = k_total - k - 1
+                park = Park(reads, hooks, left if limit is None
+                            else min(limit, left), k % n, tests)
+                yield park
+                k += park.done + 1
+
+        eng = Engine(simt.TESTGPU)
+        eng.memory.alloc("polled", 64, fill=0)
+        eng.memory.alloc("hot", 64, fill=0)
+        eng.memory.mark_hot("hot")
+        x0 = dict(simt.engine.EXEC_COUNTS)
+        res = eng.launch(kernel, 2, observers=observers)
+        x = {k: v - x0[k] for k, v in simt.engine.EXEC_COUNTS.items()}
+        return (res.cycles, res.stats.snapshot(), x), seen
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_alone_on_its_cu(self, n):
+        want, _ = self._launch(n, parked=False)
+        got, seen = self._launch(n, parked=True)
+        assert got == want
+        assert want[2]["reads_elided"] > 0 and want[2]["reads_vector"] > 2
+        # every completion but the fresh ones (each read's first sample,
+        # and read 1 after each store) and the last is replayed, and
+        # the kernel parks again mid-cycle after each fresh one
+        assert len(seen) == self.K - 1 - want[2]["reads_vector"]
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_under_a_controller(self, n):
+        fifo = [FifoController()]
+        want, _ = self._launch(n, parked=False, observers=fifo)
+        got, seen = self._launch(n, parked=True, observers=fifo)
+        assert got == want and seen == []
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_limit_stops_mid_cycle(self, n):
+        want, _ = self._launch(n, parked=False)
+        got, seen = self._launch(n, parked=True, limit=5)
+        assert got == want
+        assert 0 < len(seen) < self.K - 1
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_quiet_fresh_reads_are_replayed(self, n):
+        want, _ = self._launch(n, parked=False)
+        _, plain = self._launch(n, parked=True)
+        # the first store is quiet, the second resumes the kernel
+        got, seen = self._launch(
+            n, parked=True, quiet=lambda r: int(r.result[1]) == 300
+        )
+        assert got == want
+        assert len(seen) == len(plain) + 1

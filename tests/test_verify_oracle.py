@@ -343,3 +343,77 @@ class TestPlantedBugs:
         out = run_scenario(sc)
         assert not out.ok
         assert Scenario.from_dict(out.scenario) == sc
+
+
+class TestParkedLaunches:
+    """Uncontrolled road-map launches park, and the engine replays their
+    idle cycles (steal probes included) instead of resuming the kernel.
+    Controlled verify runs never replay, so these run the oracles on
+    uncontrolled launches: the replayed hooks must give the same event
+    stream, and the delivered multiset must be the one a stepped (FIFO
+    controlled) launch delivers."""
+
+    @staticmethod
+    def _launch(case, oracle_cls, monkeypatch, observers=()):
+        import repro.core.scheduler as scheduler_mod
+        from repro.bfs.common import alloc_graph_buffers, bfs_queue_capacity
+        from repro.bfs.persistent import BFSWorker
+        from repro.core import SchedulerControl, persistent_kernel
+        from repro.simt import Engine, Park
+
+        from test_park_pin_composed import CASES, DEVICES, _graph
+
+        make, device, n_wf, graph = CASES[case]
+        dev = DEVICES[device]
+        graph = _graph(graph)
+        eng = Engine(dev)
+        alloc_graph_buffers(eng.memory, graph, 0)
+        q = make(bfs_queue_capacity(graph, dev, n_wf))
+        sched = SchedulerControl()
+        q.allocate(eng.memory)
+        sched.allocate(eng.memory)
+        q.seed(eng.memory, [0])
+        sched.seed(eng.memory, 1)
+        oracle = oracle_cls(q)
+        oracle.note_seed([0])
+        parks = []
+
+        def counted_park(*args):
+            parks.append(Park(*args))
+            return parks[-1]
+
+        monkeypatch.setattr(scheduler_mod, "Park", counted_park)
+        res = eng.launch(
+            persistent_kernel(q, BFSWorker(), sched), n_wf,
+            observers=[oracle, *observers],
+        )
+        assert sched.is_done(eng.memory)
+        oracle.finish(eng.memory)
+        return res, oracle, sum(p.done for p in parks)
+
+    @pytest.mark.parametrize("case,oracle", [
+        ("SHARDED4-rr-t1-Fijix56", "multi"),
+        ("SHARDED4-rr-steals-TESTGPUx8", "multi"),
+        ("GROW512-Fijix56", "single"),
+    ])
+    def test_oracle_passes_on_replayed_cycles(self, monkeypatch, case, oracle):
+        from repro.verify.oracle import MultiQueueOracle
+        from repro.verify.schedule import FifoController
+
+        cls = MultiQueueOracle if oracle == "multi" else InvariantOracle
+        res, got, replayed = self._launch(case, cls, monkeypatch)
+        assert replayed > 0
+        fifo, want, stepped = self._launch(
+            case, cls, monkeypatch, [FifoController()]
+        )
+        assert stepped == 0
+        assert got.events == want.events > 0
+        assert got.delivered_token_counts() == want.delivered_token_counts()
+        assert got.n_lane_delivered == (
+            res.stats.custom["scheduler.tasks_completed"]
+        )
+        assert (res.cycles, res.stats.snapshot()) == (
+            fifo.cycles, fifo.stats.snapshot()
+        )
+        if "steals" in case:
+            assert res.stats.custom["queue.steal_hits"] > 0
