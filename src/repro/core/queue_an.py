@@ -100,7 +100,7 @@ class ArbitraryNQueue(BaseCasQueue):
         while True:
             vread = MemRead(self.buf_valid, phys)
             yield vread
-            if np.all(vread.result == 1):
+            if np.all(vread.result == self._published(raw)):
                 break
             ctx.stats.custom[K_CAS_ROUNDS] += 1
             if probe is not None:
@@ -155,6 +155,6 @@ class ArbitraryNQueue(BaseCasQueue):
             raw = lane_base[active] + t
             phys = self._phys(raw)
             if self.circular:
-                yield from self._await_release(ctx, phys)
+                yield from self._await_release(ctx, raw, phys)
             yield from self._fill(ctx, raw, phys, tokens[active, t])
         stats.custom[K_ENQ_TOKENS] += int(total)

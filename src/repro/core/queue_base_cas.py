@@ -22,7 +22,12 @@ reserve-then-write race in array-based CAS queues (cf. Valois 1994): an
 enqueuer reserves a slot by CAS on ``Rear``, writes the token, then sets
 the flag; a dequeuer that won a slot by CAS on ``Front`` polls the flag
 before reading.  This is exactly the kind of extra shared-memory traffic
-the proposed design eliminates.
+the proposed design eliminates.  The flags carry the slot's *generation*
+(``raw // capacity``, how often a circular ring wrapped before the
+entry): the enqueuer of generation ``g`` publishes ``g + 1``, its
+dequeuer releases the slot with ``-(g + 1)``, and on a circular ring the
+next generation's enqueuer waits for exactly that release, so neither
+side can mistake the previous generation's flag for its own.
 
 Queue-full aborts the kernel for all variants (paper footnote 2).
 """
@@ -77,7 +82,12 @@ class BaseCasQueue(DeviceQueue):
     def _host_mark_valid(self, memory: GlobalMemory, start: int, n: int) -> None:
         valid = memory[self.buf_valid]
         for raw in range(start, start + n):
-            valid[self._phys(raw)] = 1
+            valid[self._phys(raw)] = self._published(raw)
+
+    def _published(self, raw):
+        """Valid flag of raw entries ``raw`` once published: their
+        generation plus one."""
+        return raw // self.capacity + 1
 
     def _is_full(self, front: int, rear: int, extra: int) -> bool:
         if self.circular:
@@ -113,7 +123,7 @@ class BaseCasQueue(DeviceQueue):
                 probe.wf_phase(ctx.wf_id, "dna_spin", self.prefix)
             vread = MemRead(self.buf_valid, phys)
             yield vread
-            ready = vread.result == 1
+            ready = vread.result == self._published(raw)
             if ready.any():
                 yield from self._collect(
                     ctx, st, lanes[ready], raw[ready], phys[ready]
@@ -144,7 +154,7 @@ class BaseCasQueue(DeviceQueue):
         if probe is not None:
             probe.queue_grant(self.prefix, raw, probe.now)
             probe.queue_deliver(self.prefix, raw, dread.result)
-        yield MemWrite(self.buf_valid, phys, 0)
+        yield MemWrite(self.buf_valid, phys, -self._published(raw))
         st.unwatch(lanes)
         st.grant(lanes, dread.result)
         ctx.stats.custom[K_DEQ_TOKENS] += int(lanes.size)
@@ -297,7 +307,19 @@ class BaseCasQueue(DeviceQueue):
                     self.prefix, "publish", int(raw[0]), int(raw.size)
                 )
             if self.circular:
-                yield from self._await_release(ctx, phys)
+                prev = raw - self.capacity
+                mine = (prev >= 0) & np.isin(prev, st.slot)
+                if mine.any():
+                    # the previous generation of a target slot is claimed
+                    # by this wavefront and collected only by its own
+                    # next acquire: no release can come, the ring is full
+                    yield self._full(
+                        f"slot of raw {int(raw[mine][0])} still holds this "
+                        f"wavefront's uncollected raw {int(prev[mine][0])} "
+                        f"(rear={rear} front={front})",
+                        rear - front,
+                    )
+                yield from self._await_release(ctx, raw, phys)
             yield from self._fill(
                 ctx, raw, phys, tokens[win_lanes, placed[win_lanes]]
             )
@@ -315,17 +337,19 @@ class BaseCasQueue(DeviceQueue):
         )
 
     def _await_release(
-        self, ctx: KernelContext, phys
+        self, ctx: KernelContext, raw, phys
     ) -> Generator[Op, Op, None]:
-        """Circular ring: wait until previous-generation consumers have
-        released (cleared the valid flag of) every target slot."""
+        """Circular ring: wait until the previous generation's consumer
+        has released every target slot (its flag reads that generation's
+        release, ``-g`` for generation ``g``; 0 for the first)."""
         probe = ctx.probe
         if probe is not None:
             probe.wf_phase(ctx.wf_id, "full_wait", self.prefix)
+        released = 1 - self._published(raw)
         while True:
             vread = MemRead(self.buf_valid, phys)
             yield vread
-            if not (vread.result == 1).any():
+            if (vread.result == released).all():
                 break
             ctx.stats.custom[K_CAS_ROUNDS] += 1
         if probe is not None:
@@ -339,4 +363,4 @@ class BaseCasQueue(DeviceQueue):
         if ctx.probe is not None:
             ctx.probe.queue_store(self.prefix, raw, toks)
         yield MemWrite(self.buf_data, phys, toks)
-        yield MemWrite(self.buf_valid, phys, 1)
+        yield MemWrite(self.buf_valid, phys, self._published(raw))

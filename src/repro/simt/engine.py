@@ -68,16 +68,29 @@ execution model):
   schedule controller, the park's limit) resumes the generator.
   Issues, completions, sequence numbers and elision decisions are the
   ones the step-by-step loop makes (docs/performance.md, "Parked
-  wavefronts").
+  wavefronts");
+* a parked wavefront alone on its CU, with no hooks, per-op probe
+  callbacks or controller, and every read clean, is *fast-forwarded*:
+  its replayed completions stop being heap events and follow in closed
+  form from an anchor (:class:`_Chain`).  It materializes, its next
+  completion back on the heap under a :class:`_VSeq` that sorts where
+  the replay's event would have, at the first point the replay could
+  have done anything else: a store overlapping one of its reads, a
+  span-log prune past a read's last sample, the park's limit, a
+  watchdog poll, ``max_cycles`` or the end of the launch.  Cycles,
+  stats, counters and event order are the replay's (docs/performance.md,
+  "Fast-forward").
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, Generator, List, Optional
 
@@ -103,6 +116,7 @@ from .stats import SimStats
 COALESCE_SEGMENT_WORDS = 16
 
 _I64 = np.dtype(np.int64)
+_first = itemgetter(0)
 
 
 def transactions_for(index) -> int:
@@ -203,7 +217,7 @@ class _Wavefront:
     """Engine-internal record for one resident wavefront."""
 
     __slots__ = ("wid", "cu", "gen", "pending", "pkind", "park",
-                 "last_issue", "last_kind")
+                 "last_issue", "last_kind", "ff_skip", "ff_back")
 
     def __init__(self, wid: int, cu: "_CU", gen: Generator[Op, Op, None]):
         self.wid = wid
@@ -221,12 +235,18 @@ class _Wavefront:
         #: only maintained while an :class:`IssueView` is tracked.
         self.last_issue = -1
         self.last_kind = 0
+        #: replayed completions to let pass before trying to fast-forward
+        #: again, and the backoff exponent after fast-forwards that did
+        #: not pay (host-side only: no simulated effect).
+        self.ff_skip = 0
+        self.ff_back = 0
 
 
 class _CU:
     """Engine-internal compute unit: an issue pipe plus a ready queue."""
 
-    __slots__ = ("cid", "busy_until", "ready", "wake", "issues", "last_wf")
+    __slots__ = ("cid", "busy_until", "ready", "wake", "issues", "last_wf",
+                 "nlive")
 
     def __init__(self, cid: int):
         self.cid = cid
@@ -238,6 +258,70 @@ class _CU:
         #: maintained while an :class:`IssueView` is tracked.
         self.issues = 0
         self.last_wf: Optional[_Wavefront] = None
+        #: wavefronts placed on this CU that have not exited.
+        self.nlive = 0
+
+
+class _Chain:
+    """One fast-forward of a parked wavefront alone on its CU.
+
+    The *anchor* is the real completion at cycle ``t0`` that replayed
+    and issued ``park.reads[k0]``, allocating sequence number ``s1``
+    for that read's completion, *virtual completion* 1.  Completion
+    ``j`` lands at ``t0 + D(j)``, with ``D`` the sum of the first ``j``
+    delays of the park's reads from ``k0`` on; processing it replays
+    the read ``(k0 + j - 1) % n`` and issues the next.  ``folded``
+    completions are already accounted.
+    """
+
+    __slots__ = ("wf", "park", "t0", "s1", "k0", "n", "period", "pre",
+                 "sig", "ph", "folded", "snap", "keys", "objs", "prec")
+
+    def time(self, j: int) -> int:
+        """Cycle of virtual completion ``j`` (``j >= 0``; 0 is the anchor)."""
+        q, r = divmod(j, self.n)
+        return self.t0 + q * self.period + self.pre[r]
+
+    def first_at(self, t: int) -> int:
+        """The first virtual completion at or after cycle ``t``."""
+        x = t - self.t0
+        if x <= 0:
+            return 1
+        n = self.n
+        j = x // self.period * n
+        pre = self.pre
+        while (j // n) * self.period + pre[j % n] < x:
+            j += 1
+        return j if j > 0 else 1
+
+
+class _VSeq:
+    """The heap sequence number of a materialized virtual completion.
+
+    A replayed completion's event would have been allocated while its
+    predecessor was processed, between two real allocations, so no
+    integer stands for it.  It sorts against integers and other
+    ``_VSeq``s by walking both allocation chains back (``prec``); tuple
+    comparison only reaches it at equal cycles.
+    """
+
+    __slots__ = ("ch", "j", "t")
+
+    def __init__(self, ch: _Chain, j: int, t: int):
+        self.ch = ch
+        self.j = j
+        self.t = t
+
+    def __lt__(self, other) -> bool:
+        return self.ch.prec(self.t, self, self.t, other)
+
+    def __gt__(self, other) -> bool:
+        return self.ch.prec(self.t, other, self.t, self)
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    __hash__ = object.__hash__
 
 
 class IssueView:
@@ -246,22 +330,30 @@ class IssueView:
     An observer with a ``track_issues(view)`` method receives one of
     these per launch and reads it when it needs the numbers (a snapshot,
     a liveness poll), instead of taking an ``on_issue`` call for every
-    op.  The engine keeps it current from the first issue on; after the
-    launch it holds the final values.
+    op.  The engine keeps it current from the first issue on, folding
+    the issues of fast-forwarded parked wavefronts in closed form when
+    it is read; after the launch it holds the final values.
     """
 
-    __slots__ = ("_cus", "_wfs")
+    __slots__ = ("_cus", "_wfs", "_settle")
 
-    def __init__(self, cus: List[_CU], wfs: List[_Wavefront]):
+    def __init__(self, cus: List[_CU], wfs: List[_Wavefront], settle=None):
         self._cus = cus
         self._wfs = wfs
+        #: folds fast-forwarded issues up to the engine's current event
+        #: (None once the launch is over).
+        self._settle = settle
 
     def issues(self) -> int:
         """Ops issued so far (``Abort`` excluded)."""
+        if self._settle is not None:
+            self._settle()
         return sum(cu.issues for cu in self._cus)
 
     def cu_last_issue(self) -> Dict[int, tuple]:
         """CU id -> ``(cycle, wf, op-kind name)`` of its latest issue."""
+        if self._settle is not None:
+            self._settle()
         return {
             cu.cid: (
                 cu.last_wf.last_issue,
@@ -274,6 +366,8 @@ class IssueView:
 
     def wf_last_issue(self) -> Dict[int, int]:
         """Wavefront id -> cycle of its latest issue (issued ones only)."""
+        if self._settle is not None:
+            self._settle()
         return {wf.wid: wf.last_issue for wf in self._wfs if wf.last_issue >= 0}
 
 
@@ -284,6 +378,14 @@ _EV_ATOMIC = 2
 _EV_APPLY_WRITE = 3
 #: combined CU_FREE + WF_READY at one timestamp (see module docstring).
 _EV_FREE_READY = 4
+#: not an event of the simulated machine: a point at which fast-forwarded
+#: wavefronts materialize (payload: one chain, or None for all of them).
+#: Alarms carry negative sequence numbers, so they sort before every
+#: event of their cycle.
+_EV_ALARM = 5
+
+#: real events logged between two prunings of the fast-forward event log.
+_LOG_MIN = 4096
 
 # exact-type dispatch ids for issue_from; unknown classes (Op subclasses
 # defined outside this package) are resolved once via isinstance and cached.
@@ -639,13 +741,10 @@ class Engine:
             wf = _Wavefront(wid, cu, gen)
             all_wfs.append(wf)
             live += 1
+            cu.nlive += 1
             cu.ready.append(wf)
         trackers = [o for o in observers if hasattr(o, "track_issues")]
         tracking = bool(trackers)
-        if tracking:
-            view = IssueView(cus, all_wfs)
-            for o in trackers:
-                o.track_issues(view)
 
         # atomics execute at the L2 (GCN), as do loads/stores of small hot
         # control buffers; bulk data pays full memory latency.
@@ -801,12 +900,7 @@ class Engine:
                     else:
                         i = int(idx)
                         sp = (i, i)
-                log = wlog_get(buf)
-                if log is None:
-                    wlog[buf] = log = []
-                log.append((e, sp[0], sp[1]))
-                if len(log) > 48:
-                    del log[:24]
+                log_bump(buf, e, sp[0], sp[1])
 
         def issue_from(cu: _CU, direct=None) -> None:
             """While the CU is free and has ready wavefronts, issue one op.
@@ -855,6 +949,7 @@ class Engine:
                     op = wf.gen.send(wf.pending)
                 except StopIteration:
                     live -= 1
+                    cu.nlive -= 1
                     if probing:
                         probe.on_exit(now, wf.wid)
                     # the exiting instruction still occupied the pipe
@@ -1031,6 +1126,429 @@ class Engine:
                     abort_exc = KernelAbort(op.reason)
                 return
 
+        # -- fast-forward --------------------------------------------------
+        # A parked wavefront alone on its CU, with no per-op observer, no
+        # hooks and no controller, replays a strictly periodic issue/
+        # completion sequence until something stores to a word it reads.
+        # Such a wavefront goes *virtual* (a _Chain): its completions are
+        # no longer heap events but follow in closed form from its
+        # anchor, and it *materializes* (its next completion goes back on
+        # the heap, in the order the replay's event would have sorted)
+        # only where the replay could have done something other than
+        # replay (docs/performance.md, "Fast-forward").
+        fast_forward = on_issue is None and on_wake is None and not controlled
+        #: virtual chains, and those whose materialized completion is
+        #: still on the heap (both need the event log).
+        virt: Dict[_Chain, None] = {}
+        chains: Dict[_Chain, None] = {}
+        #: buffer -> (min, max) span -> virtual chains reading it there.
+        vgroups: Dict[str, Dict[tuple, Dict[_Chain, None]]] = {}
+        #: buffer -> ``(cycle, seq, epoch)`` of its bumps while virtual
+        #: chains read it: the epoch a virtual read last sampled.
+        hist: Dict[str, list] = {}
+        #: while any chain lives, each real event processed: its cycle,
+        #: its seq and a marker seq drawn when its processing starts, so
+        #: a seq's allocating event is found by bisecting the markers.
+        logging = False
+        log_t: List[int] = []
+        log_s: list = []
+        log_m: List[int] = []
+        log_cap = _LOG_MIN
+        #: reads tuple id -> (reads, its distinct reads with their
+        #: positions, its distinct (buf, span) keys)
+        park_shape: Dict[int, tuple] = {}
+        next_alarm = count(-1, -1).__next__
+        max_alarm = False
+        wd_alarm_at = -1
+        cseq = -1
+
+        def replay(wf, park, k: int, t: int):
+            """Advance the parked ``wf`` by ``k`` replayed completions,
+            the last at cycle ``t``: each issues the park's next read.
+            Moves ``park.done``/``park.cur``, the issue counters,
+            ``cu.busy_until`` and the issue view, and returns the read
+            now in flight.  The per-event replay is ``k == 1`` (its
+            completion already made the elision decision); a fold adds
+            the elided completions and their epochs itself."""
+            nonlocal n_issued, n_reads, n_trans, n_busy
+            reads = park.reads
+            i = park.cur
+            park.done += k
+            if k == 1:
+                i += 1
+                if i == len(reads):
+                    i = 0
+                tr = reads[i].trans
+            else:
+                n = len(reads)
+                full, rem = divmod(k, n)
+                tr = full * sum(r.trans for r in reads) if full else 0
+                for _ in range(rem):
+                    i += 1
+                    if i == n:
+                        i = 0
+                    tr += reads[i].trans
+            park.cur = i
+            n_issued += k
+            n_reads += k
+            n_trans += tr
+            n_busy += k * issue
+            cu = wf.cu
+            cu.busy_until = t + issue
+            if tracking:
+                cu.issues += k
+                cu.last_wf = wf
+                wf.last_issue = t
+                wf.last_kind = _K_READ
+            return reads[i]
+
+        def read_span(op) -> tuple:
+            """The ``(min, max)`` index span of a read, cached on it."""
+            sp = op.span
+            if sp is None:
+                idx = op.index
+                if type(idx) is np.ndarray and idx.ndim:
+                    span_trans(op, idx)
+                    sp = op.span
+                    if sp is None:
+                        # empty gather: overlaps nothing, result is
+                        # always the empty array.
+                        sp = (
+                            (int(idx.min()), int(idx.max()))
+                            if idx.size else (0, -1)
+                        )
+                        op.span = sp
+                else:
+                    i = int(idx)
+                    sp = (i, i)
+                    op.span = sp
+            return sp
+
+        def log_clean(buf: str, oe: int, sp: tuple) -> bool:
+            """True when the bump log of ``buf`` reaches back to epoch
+            ``oe`` and every bump since misses span ``sp``."""
+            log = wlog_get(buf)
+            if log:
+                mn, mx = sp
+                for we, wmn, wmx in reversed(log):
+                    if we <= oe:
+                        return True
+                    if wmn <= mx and mn <= wmx:
+                        return False
+            return False
+
+        def log_bump(buf: str, e: int, mn: int, mx: int) -> None:
+            """Span-log a bump of a watched buffer, and materialize the
+            virtual wavefronts whose replay would see it."""
+            log = wlog_get(buf)
+            if log is None:
+                wlog[buf] = log = []
+            log.append((e, mn, mx))
+            pruned = len(log) > 48
+            if pruned:
+                del log[:24]
+            if virt:
+                groups = vgroups.get(buf)
+                if groups:
+                    hist[buf].append((now, cseq, e))
+                    hit: Dict[_Chain, None] = {}
+                    for (smn, smx), members in groups.items():
+                        if smn <= mx and mn <= smx:
+                            hit.update(members)
+                    if pruned:
+                        # a read whose last sample is older than what
+                        # the prune left samples afresh next time
+                        w0 = log[0][0]
+                        for members in groups.values():
+                            for ch in members:
+                                if ch not in hit and outdated(ch, buf, w0):
+                                    hit[ch] = None
+                    for ch in hit:
+                        materialize(ch, now, cseq)
+
+        def prec(ta: int, sa, tb: int, sb) -> bool:
+            """Is event ``(ta, sa)`` processed before ``(tb, sb)``?
+
+            Seqs are ints or :class:`_VSeq`.  Equal cycles compare by
+            allocation: a virtual completion ``j`` was allocated while
+            completion ``j - 1`` was processed, a real event while the
+            event the log bisects to was; so both sides walk back to
+            their allocating events until the cycles differ or both
+            are real (iteratively: chains parked in lockstep walk back
+            to their anchors)."""
+            if type(sa) is _VSeq:
+                ach, aj = sa.ch, sa.j
+            else:
+                ach = None
+            if type(sb) is _VSeq:
+                bch, bj = sb.ch, sb.j
+            else:
+                bch = None
+            flip = False
+            while True:
+                if ta != tb:
+                    return (ta < tb) is not flip
+                if ach is None:
+                    if bch is None:
+                        return (sa < sb) is not flip
+                    ach, aj, bch, sb = bch, bj, None, sa
+                    flip = not flip
+                if bch is None:
+                    if sb < ach.s1:
+                        # allocated before virtual completion 1
+                        return flip
+                    p = bisect_right(log_m, sb) - 1
+                    tb, sb = log_t[p], log_s[p]
+                    if type(sb) is _VSeq:
+                        bch, bj = sb.ch, sb.j
+                    aj -= 1
+                else:
+                    step = 1
+                    if ach.sig == bch.sig and not (
+                        (ach.ph + aj - bch.ph - bj) % len(ach.sig)
+                    ):
+                        # identical delays: equal cycles all the way
+                        step = min(aj, bj) - 1
+                    aj -= step
+                    bj -= step
+                    tb = bch.time(bj)
+                    if bj == 1:
+                        sb, bch = bch.s1, None
+                ta = ach.time(aj)
+                if aj == 1:
+                    sa, ach = ach.s1, None
+
+        def vref(ch: _Chain, j: int, t: int):
+            return ch.s1 if j == 1 else _VSeq(ch, j, t)
+
+        def pending(ch: _Chain, t: int, s) -> int:
+            """The first completion of ``ch`` not processed before the
+            event ``(t, s)``."""
+            j = ch.first_at(t)
+            if j <= ch.folded:
+                j = ch.folded + 1
+            tj = ch.time(j)
+            if tj == t and prec(tj, vref(ch, j, tj), t, s):
+                j += 1
+            return j
+
+        def last_of(ch: _Chain, qs: tuple, k: int) -> int:
+            """The last completion up to ``k`` of a read at positions
+            ``qs`` (0: none)."""
+            best = 0
+            n = ch.n
+            for q in qs:
+                j = k - (k - q + ch.k0 - 1) % n
+                if j > best:
+                    best = j
+            return best
+
+        def epoch_at(ch: _Chain, buf: str, j: int) -> int:
+            """The epoch of ``buf`` when completion ``j`` was processed."""
+            tj = ch.time(j)
+            h = hist[buf]
+            i = bisect_right(h, tj, key=_first)
+            v = vref(ch, j, tj)
+            best = ch.snap[buf]
+            while i:
+                t, s, e = h[i - 1]
+                if t < tj or prec(t, s, tj, v):
+                    return e if e > best else best
+                i -= 1
+            return best
+
+        def outdated(ch: _Chain, buf: str, w0: int) -> bool:
+            """Has a read of ``ch`` on ``buf`` last sampled before epoch
+            ``w0``, the oldest the bump log still holds?"""
+            last = pending(ch, now, cseq) - 1
+            for r, qs in ch.objs:
+                if r.buf == buf and r.epoch < w0:
+                    j = last_of(ch, qs, last)
+                    if j <= ch.folded or epoch_at(ch, buf, j) < w0:
+                        return True
+            return False
+
+        def fold(ch: _Chain, k: int) -> None:
+            """Account completions up to ``k`` of ``ch`` as replayed."""
+            nonlocal x_reld
+            a = ch.folded
+            m = k - a
+            if m <= 0:
+                return
+            ch.folded = k
+            wf = ch.wf
+            t = ch.time(k)
+            wf.pending = replay(wf, ch.park, m, t)
+            x_reld += m
+            for r, qs in ch.objs:
+                j = last_of(ch, qs, k)
+                if j > a:
+                    r.epoch = epoch_at(ch, r.buf, j)
+            if probing and t > probe.now:
+                probe.now = t
+
+        def settle() -> None:
+            """Fold every virtual chain up to the current event."""
+            for ch in virt:
+                fold(ch, pending(ch, now, cseq) - 1)
+
+        def end_chain(ch: _Chain) -> None:
+            nonlocal logging
+            del chains[ch]
+            if not chains:
+                logging = False
+                log_t.clear()
+                log_s.clear()
+                log_m.clear()
+
+        def materialize(ch: _Chain, t: int, s) -> None:
+            """Fold ``ch`` up to the event ``(t, s)`` and put its next
+            completion on the heap with the seq the replay's had."""
+            j = pending(ch, t, s)
+            fold(ch, j - 1)
+            del virt[ch]
+            for buf, span in ch.keys:
+                groups = vgroups[buf]
+                members = groups[span]
+                del members[ch]
+                if not members:
+                    del groups[span]
+                    if not groups:
+                        del vgroups[buf]
+                        del hist[buf]
+            wf = ch.wf
+            if j > 2 * ch.n:
+                wf.ff_back = 0
+            else:
+                # too short to pay for itself: back off exponentially
+                wf.ff_back = b = min(wf.ff_back + 1, 10)
+                wf.ff_skip = ch.n << b
+            tj = ch.time(j)
+            if j == 1:
+                seq = ch.s1
+                end_chain(ch)
+            else:
+                seq = _VSeq(ch, j, tj)
+            wf.cu.wake = -1
+            heappush(heap, (tj, seq, _EV_WF_READY, wf))
+
+        def materialize_all(t: int, s) -> None:
+            for ch in list(virt):
+                materialize(ch, t, s)
+
+        def wd_alarm() -> None:
+            """Materialize every virtual chain at the first event at or
+            after ``wd_next``, where the watchdog polls."""
+            nonlocal wd_alarm_at
+            if wd_next <= now:
+                materialize_all(now, cseq)
+            else:
+                heappush(heap, (wd_next, next_alarm(), _EV_ALARM, None))
+                wd_alarm_at = wd_next
+
+        def go_virtual(wf, park, s1: int) -> bool:
+            """Fast-forward ``wf`` from this replayed completion, whose
+            next read's completion holds seq ``s1``, if every read of
+            its park would be elided now and no delay is zero."""
+            nonlocal logging, max_alarm
+            reads = park.reads
+            shape = park_shape.get(id(reads))
+            if shape is None or shape[0] is not reads:
+                pos: Dict[int, list] = {}
+                for q, r in enumerate(reads):
+                    pos.setdefault(id(r), [r]).append(q)
+                objs = tuple((v[0], tuple(v[1:])) for v in pos.values())
+                keys = tuple(dict.fromkeys(
+                    (r.buf, read_span(r)) for r, _ in objs
+                ))
+                shape = park_shape[id(reads)] = (reads, objs, keys)
+            objs = shape[1]
+            n = len(reads)
+            k0 = park.cur
+            for r, qs in objs:
+                buf = r.buf
+                oe = r.epoch
+                if oe is None or buf not in watched or (
+                    oe != epochs[buf] and not log_clean(buf, oe, read_span(r))
+                ):
+                    # retry once this read has completed again
+                    wf.ff_skip = min((q - k0) % n for q in qs)
+                    return False
+            delays = park.delays
+            if min(delays) <= 0:
+                return False
+            limit = park.limit
+            if limit is not None:
+                # completion `last` finds the park at its limit and
+                # resumes the kernel
+                last = limit - park.done + 1
+                if last <= 1:
+                    return False
+            ch = _Chain()
+            ch.wf = wf
+            ch.park = park
+            ch.t0 = now
+            ch.s1 = s1
+            ch.k0 = k0
+            ch.n = n
+            pre = [0]
+            for q in range(n - 1):
+                pre.append(pre[-1] + delays[(k0 + q) % n])
+            ch.pre = pre
+            ch.period = sum(delays)
+            if min(delays) == max(delays):
+                ch.sig, ch.ph = delays[:1], 0
+            else:
+                ch.sig, ch.ph = delays, k0
+            ch.folded = 0
+            ch.snap = {r.buf: epochs[r.buf] for r, _ in objs}
+            ch.keys = shape[2]
+            ch.objs = objs
+            ch.prec = prec
+            for buf, span in ch.keys:
+                vgroups.setdefault(buf, {}).setdefault(span, {})[ch] = None
+                hist.setdefault(buf, [])
+            virt[ch] = None
+            chains[ch] = None
+            logging = True
+            if not max_alarm:
+                # the first event past max_cycles may be a virtual one
+                heappush(heap, (max_cycles + 1, next_alarm(), _EV_ALARM, None))
+                max_alarm = True
+            if watching and wd_alarm_at != wd_next:
+                wd_alarm()
+            if limit is not None:
+                heappush(heap, (ch.time(last), next_alarm(), _EV_ALARM, ch))
+            return True
+
+        def trim() -> None:
+            """Bound the event log: drop what no live chain needs, and
+            re-anchor the chains that hold its older half (they
+            materialize here and go virtual again later), so the next
+            trim can drop that too."""
+            nonlocal log_cap
+            cut = bisect_left(log_m, min(ch.s1 for ch in chains))
+            del log_t[:cut]
+            del log_s[:cut]
+            del log_m[:cut]
+            for buf, h in hist.items():
+                t0 = min(
+                    ch.t0 for members in vgroups[buf].values()
+                    for ch in members
+                )
+                del h[:bisect_left(h, t0, key=_first)]
+            if len(log_m) > _LOG_MIN // 2:
+                mid = log_m[len(log_m) // 2]
+                for ch in list(virt):
+                    if ch.s1 < mid:
+                        materialize(ch, now, cseq)
+            log_cap = len(log_m) + _LOG_MIN
+
+        if tracking:
+            view = IssueView(cus, all_wfs, settle)
+            for o in trackers:
+                o.track_issues(view)
+
         total = 0
         timing = EXEC_TIMING
         t_prev = perf_counter() if timing else 0.0
@@ -1051,7 +1569,25 @@ class Engine:
                     ev = heappop(heap)
                 else:
                     break
-                now, _, kind, payload = ev
+                if ev[2] == _EV_ALARM:
+                    t, s, _, ch = ev
+                    if ch is None:
+                        if t == wd_alarm_at:
+                            wd_alarm_at = -1
+                        materialize_all(t, s)
+                    elif ch in virt:
+                        # the completion at the park's limit
+                        materialize(ch, t, s)
+                    continue
+                now, cseq, kind, payload = ev
+                if logging:
+                    log_t.append(now)
+                    log_s.append(cseq)
+                    log_m.append(next_seq())
+                    if type(cseq) is _VSeq:
+                        end_chain(cseq.ch)
+                    elif len(log_m) > log_cap:
+                        trim()
                 if timing:
                     t_now = perf_counter()
                     EXEC_TIMES[key_prev] = (
@@ -1068,6 +1604,8 @@ class Engine:
                     # read-only liveness poll at the watchdog's own
                     # cadence; may raise WedgeError on escalation.
                     wd_next = watchdog.poll(now, live)
+                    if virt:
+                        wd_alarm()
                 if now > max_cycles:
                     raise SimulationTimeout(
                         f"simulation exceeded {max_cycles} cycles "
@@ -1120,61 +1658,23 @@ class Engine:
                             if oe == e:
                                 op.fresh = False
                                 x_reld += 1
+                            elif oe is not None and log_clean(
+                                buf, oe, read_span(op)
+                            ):
+                                # the buffer changed, but every logged
+                                # bump since the op's last sample missed
+                                # its slots: the values are unchanged.
+                                op.epoch = e
+                                op.fresh = False
+                                x_reld += 1
                             else:
-                                # the buffer changed — but did *this op's
-                                # slots* change?  Scan the bump log back
-                                # to the op's last sample; a complete,
-                                # non-overlapping window proves the values
-                                # are unchanged.
-                                clean = False
-                                if oe is not None:
-                                    sp = op.span
-                                    if sp is None:
-                                        idx = op.index
-                                        if (
-                                            type(idx) is np.ndarray
-                                            and idx.ndim
-                                        ):
-                                            span_trans(op, idx)
-                                            sp = op.span
-                                            if sp is None:
-                                                # empty gather: overlaps
-                                                # nothing, result is
-                                                # always the empty array.
-                                                sp = (
-                                                    (
-                                                        int(idx.min()),
-                                                        int(idx.max()),
-                                                    )
-                                                    if idx.size
-                                                    else (0, -1)
-                                                )
-                                                op.span = sp
-                                        else:
-                                            i = int(idx)
-                                            sp = (i, i)
-                                            op.span = sp
-                                    mn, mx = sp
-                                    log = wlog_get(buf)
-                                    if log:
-                                        for we, wmn, wmx in reversed(log):
-                                            if we <= oe:
-                                                clean = True
-                                                break
-                                            if wmn <= mx and mn <= wmx:
-                                                break
-                                if clean:
-                                    op.epoch = e
-                                    op.fresh = False
-                                    x_reld += 1
-                                else:
-                                    # sample memory at architectural
-                                    # completion (fancy indexing with an
-                                    # int64 array always copies).
-                                    op.result = bufs[buf][op.index]
-                                    op.epoch = e
-                                    op.fresh = True
-                                    x_rvec += 1
+                                # sample memory at architectural
+                                # completion (fancy indexing with an
+                                # int64 array always copies).
+                                op.result = bufs[buf][op.index]
+                                op.epoch = e
+                                op.fresh = True
+                                x_rvec += 1
                         else:
                             x_rvec += 1
                             idx = checked_index(op)
@@ -1205,33 +1705,21 @@ class Engine:
                             if probing:
                                 probe.now = now
                                 probe.cur_wf = wf.wid
-                            i = park.cur
                             hooks = park.hooks
                             if hooks is not None:
-                                hooks[i]()
-                            park.done += 1
-                            i += 1
-                            if i == len(park.reads):
-                                i = 0
-                            park.cur = i
-                            op = park.reads[i]
-                            wf.pending = op
-                            n_issued += 1
-                            if tracking:
-                                cu.issues += 1
-                                cu.last_wf = wf
-                                wf.last_issue = now
-                                wf.last_kind = _K_READ
-                            trans = op.trans
-                            n_reads += 1
-                            n_trans += trans
-                            n_busy += issue
-                            b = now + issue
-                            cu.busy_until = b
+                                hooks[park.cur]()
+                            op = wf.pending = replay(wf, park, 1, now)
                             if on_issue is not None:
-                                on_issue(now, cu.cid, wf.wid, _K_READ, b, trans)
+                                on_issue(now, cu.cid, wf.wid, _K_READ,
+                                         cu.busy_until, op.trans)
                             cu.wake = next_seq()
-                            ev = (now + park.delays[i], next_seq(), _EV_WF_READY, wf)
+                            s = next_seq()
+                            if fast_forward and hooks is None and cu.nlive == 1:
+                                if wf.ff_skip:
+                                    wf.ff_skip -= 1
+                                elif go_virtual(wf, park, s):
+                                    continue
+                            ev = (now + park.delays[park.cur], s, _EV_WF_READY, wf)
                             if nxt is None:
                                 nxt = ev
                             else:
@@ -1291,15 +1779,10 @@ class Engine:
                     if buf in watched:
                         a = op.index
                         if type(a) is np.ndarray and a.ndim:
-                            sp0, sp1 = int(a.min()), int(a.max())
+                            log_bump(buf, e, int(a.min()), int(a.max()))
                         else:
-                            sp0 = sp1 = int(a)
-                        log = wlog_get(buf)
-                        if log is None:
-                            wlog[buf] = log = []
-                        log.append((e, sp0, sp1))
-                        if len(log) > 48:
-                            del log[:24]
+                            a = int(a)
+                            log_bump(buf, e, a, a)
                     ev = (last_end + lat_back, next_seq(), _EV_WF_READY, wf)
                     if nxt is None:
                         nxt = ev
@@ -1321,6 +1804,11 @@ class Engine:
                     apply_write(payload)
                     total = max(total, t)
         finally:
+            # virtual wavefronts replayed up to the event that ended the
+            # launch (abort, timeout, wedge)
+            settle()
+            if tracking:
+                view._settle = None
             # close still-suspended kernel generators (abort/timeout paths)
             # so their own ``finally`` blocks flush deferred counters;
             # exhausted generators make this a no-op.

@@ -164,7 +164,7 @@ class ValidBeforeDataQueue(BaseCasQueue):
     def _fill(self, ctx, raw, phys, toks):
         # BUG: flag first, data second — consumers that poll inside the
         # window read a slot whose data has not arrived.
-        yield MemWrite(self.buf_valid, phys, 1)
+        yield MemWrite(self.buf_valid, phys, self._published(raw))
         if ctx.probe is not None:
             ctx.probe.queue_store(self.prefix, raw, toks)
         yield MemWrite(self.buf_data, phys, toks)

@@ -585,8 +585,11 @@ class InvariantOracle(Probe):
                 )
             valid_name = getattr(self.queue, "buf_valid", None)
             if valid_name is not None:
+                # a released slot holds its generation's (negative)
+                # release tag; a positive flag was published and never
+                # collected
                 valid = memory[valid_name]
-                up = np.flatnonzero(valid != 0)
+                up = np.flatnonzero(valid > 0)
                 if up.size:
                     self._fail(
                         "valid-not-cleared",

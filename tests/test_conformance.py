@@ -1,0 +1,141 @@
+"""Cost-model conformance: closed-form cycle counts from the per-op table.
+
+Each micro-kernel's cycle count follows from docs/simulator_model.md
+("Per-op costs"): a ``MemRead`` resumes its wavefront ``issue + LAT +
+(T-1)*pipe`` cycles after it issues, a ``MemWrite`` lands ``issue + LAT
++ (T-1)*pipe`` after its issue, and a ``Compute(c)`` resumes after
+``c``.  The sweeps run over ``DeviceSpec`` latencies, so a change to how
+any of them is charged fails here with the parameter named, not only as
+a golden diff.  Both kernels run a lone wavefront per CU, where a parked
+poll loop is fast-forwarded in closed form.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simt import TESTGPU, Compute, Engine, MemRead, MemWrite, Park
+from repro.simt.engine import EXEC_COUNTS
+
+latencies = st.fixed_dictionaries({
+    "issue_cycles": st.integers(1, 8),
+    "l2_latency": st.integers(1, 200),
+    "mem_latency": st.integers(1, 600),
+    "mem_pipe_cycles": st.integers(0, 12),
+})
+
+
+def _device(lat: dict):
+    return TESTGPU.with_(n_cus=2, **lat)
+
+
+def _cost(lat: dict, hot: bool, trans: int) -> tuple:
+    """One read's issue-to-resume cycles and the formula naming it."""
+    latency = "l2_latency" if hot else "mem_latency"
+    formula = f"issue_cycles + {latency} + (T-1)*mem_pipe_cycles"
+    return (
+        lat["issue_cycles"] + lat[latency]
+        + (trans - 1) * lat["mem_pipe_cycles"],
+        formula,
+    )
+
+
+def _alloc(eng: Engine, hot: bool) -> str:
+    name = "ctrl" if hot else "bulk"
+    eng.memory.alloc(name, 256)
+    if hot:
+        eng.memory.mark_hot(name)
+    return name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lat=latencies,
+    hot=st.booleans(),
+    trans=st.integers(1, 6),
+    k=st.integers(2, 40),
+    parked=st.booleans(),
+)
+def test_elided_reread_costs_a_fresh_read(lat, hot, trans, k, parked):
+    # k reads of the same T-segment words, back to back: each costs
+    # the table's MemRead whether it samples memory afresh (a new op
+    # every time) or is elided (one re-yielded op, or a Park of it).
+    index = np.arange(trans, dtype=np.int64) * 16
+    d, formula = _cost(lat, hot, trans)
+    runs = {}
+    for how in ("fresh", "elided"):
+        eng = Engine(_device(lat))
+        buf = _alloc(eng, hot)
+
+        def kernel(ctx, how=how, buf=buf):
+            if how == "fresh":
+                for _ in range(k):
+                    yield MemRead(buf, index.copy())
+                return
+            r = MemRead(buf, index, trans=trans, prechecked=True)
+            yield r
+            if parked:
+                park = Park((r,), limit=k - 2)
+                yield park
+                assert park.done == k - 2
+            else:
+                for _ in range(k - 1):
+                    yield r
+
+        x0 = EXEC_COUNTS["reads_elided"]
+        res = eng.launch(kernel, 1)
+        runs[how] = (res.cycles, EXEC_COUNTS["reads_elided"] - x0)
+    for how, (cycles, elided) in runs.items():
+        assert cycles == k * d, (
+            f"{how} re-read: {k} reads took {cycles} cycles; closed form "
+            f"k * ({formula}) = {k * d} with {lat}, T={trans}, hot={hot}"
+        )
+    assert runs["elided"][1] == k - 1, "the re-reads were not elided"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lat=latencies, c=st.integers(1, 3000))
+def test_parked_poll_woken_by_a_store_exits_in_closed_form(lat, c):
+    # wavefront 0 parks on a hot flag word; wavefront 1 (the other CU)
+    # computes for c cycles and stores to it.  The store lands at
+    # S = c + issue_cycles + l2_latency; the poller's reads complete at
+    # multiples of d = issue_cycles + l2_latency, and it leaves at the
+    # first one that samples the store.
+    dev = _device(lat)
+    issue, l2 = lat["issue_cycles"], lat["l2_latency"]
+    d = issue + l2
+    s = c + issue + l2
+    m, rem = divmod(s, d)
+    # a completion on the store's own cycle was allocated at c, like the
+    # store itself: it sees the store unless its issue was made before
+    # the writer's Compute ended (only in the launch's first issue round)
+    exit_k = m + 1 if rem or m == 2 else m
+    polls = []
+
+    def kernel(ctx):
+        if ctx.wf_id == 1:
+            yield Compute(c)
+            yield MemWrite("flag", 0, 1)
+            return
+        r = MemRead("flag", np.zeros(1, dtype=np.int64), trans=1,
+                    prechecked=True)
+        yield r
+        n = 1
+        while not int(r.result[0]):
+            park = Park((r,))
+            yield park
+            n += park.done + 1
+        polls.append(n)
+
+    eng = Engine(dev)
+    eng.memory.alloc("flag", 8)
+    eng.memory.mark_hot("flag")
+    res = eng.launch(kernel, 2)
+    assert (polls[0], res.cycles) == (exit_k, exit_k * d), (
+        f"poll loop woken by a store at S = c + issue_cycles + l2_latency "
+        f"= {s}: expected {exit_k} polls of d = issue_cycles + l2_latency "
+        f"= {d} cycles, exiting at {exit_k * d}; got {polls[0]} polls and "
+        f"{res.cycles} cycles with {lat}, c={c}"
+    )

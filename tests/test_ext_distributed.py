@@ -198,6 +198,34 @@ class TestCircularRelease:
             return
         assert res.stats.custom["scheduler.tasks_completed"] == 8 * 31
 
+    @pytest.mark.parametrize(
+        "capacity,n_wf,seed,hold,burst",
+        [(5, 4, 34, 0.3, 32), (5, 4, 84, 0.3, 32), (5, 4, 91, 0.3, 32),
+         (4, 6, 6, 0.05, 16)],
+    )
+    def test_wrapping_ring_hands_off_one_generation_at_a_time(
+        self, capacity, n_wf, seed, hold, burst, testgpu
+    ):
+        # a valid flag left by the previous generation of a slot must
+        # neither release a producer (it overwrites a token nobody took:
+        # the seed-34/84/91 wedges) nor feed a consumer (it collects a
+        # token already delivered: seed 6 used to complete 272 of 248).
+        q = DistributedWorkQueues(
+            capacity=capacity, n_queues=2, circular=True
+        )
+        oracle = MultiQueueOracle(q)
+        oracle.note_seed(list(range(8)))
+        ctrl = RandomController(seed, hold_prob=hold, burst=burst)
+        try:
+            eng, _, res = run_with_queue(
+                q, RelayWorker(30), list(range(8)), testgpu, n_wf=n_wf,
+                observers=[ctrl, oracle],
+            )
+        except QueueFullError:
+            return
+        oracle.finish(eng.memory)
+        assert res.stats.custom["scheduler.tasks_completed"] == 8 * 31
+
 
 class TestMultiQueueOracle:
     @pytest.mark.parametrize(
