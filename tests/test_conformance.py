@@ -3,11 +3,12 @@
 Each micro-kernel's cycle count follows from docs/simulator_model.md
 ("Per-op costs"): a ``MemRead`` resumes its wavefront ``issue + LAT +
 (T-1)*pipe`` cycles after it issues, a ``MemWrite`` lands ``issue + LAT
-+ (T-1)*pipe`` after its issue, and a ``Compute(c)`` resumes after
-``c``.  The sweeps run over ``DeviceSpec`` latencies, so a change to how
++ (T-1)*pipe`` after its issue, a ``Compute(c)`` resumes after ``c``,
+and an ``AtomicRMW`` of ``k`` requests to one word resumes ``issue +
+L2/2 + k*svc + L2/2`` after it issues.  The sweeps run over ``DeviceSpec`` latencies, so a change to how
 any of them is charged fails here with the parameter named, not only as
-a golden diff.  Both kernels run a lone wavefront per CU, where a parked
-poll loop is fast-forwarded in closed form.
+a golden diff.  The read kernels run a lone wavefront per CU, where a
+parked poll loop is fast-forwarded in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simt import TESTGPU, Compute, Engine, MemRead, MemWrite, Park
+from repro.simt import (
+    TESTGPU, AtomicKind, AtomicRMW, Compute, Engine, MemRead, MemWrite, Park,
+)
 from repro.simt.engine import EXEC_COUNTS
 
 latencies = st.fixed_dictionaries({
@@ -24,6 +27,12 @@ latencies = st.fixed_dictionaries({
     "l2_latency": st.integers(1, 200),
     "mem_latency": st.integers(1, 600),
     "mem_pipe_cycles": st.integers(0, 12),
+})
+
+atomic_costs = st.fixed_dictionaries({
+    "issue_cycles": st.integers(1, 8),
+    "l2_latency": st.integers(1, 200),
+    "atomic_service": st.integers(1, 40),
 })
 
 
@@ -139,3 +148,62 @@ def test_parked_poll_woken_by_a_store_exits_in_closed_form(lat, c):
         f"= {d} cycles, exiting at {exit_k * d}; got {polls[0]} polls and "
         f"{res.cycles} cycles with {lat}, c={c}"
     )
+
+
+def _afa_cost(lat: dict, k: int) -> int:
+    """``issue + L2/2 + k*svc + L2/2``: the atomic travels half the L2
+    round trip there (rounded down) and the rest back."""
+    l2 = lat["l2_latency"]
+    return (lat["issue_cycles"] + l2 // 2 + k * lat["atomic_service"]
+            + (l2 - l2 // 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=atomic_costs, scalar=st.booleans())
+def test_single_afa_costs_issue_half_l2_service_half_l2(lat, scalar):
+    # one fetch-and-add, as a proxy-thread scalar or a one-lane batch
+    old = []
+
+    def kernel(ctx):
+        index = 3 if scalar else np.array([3], dtype=np.int64)
+        op = AtomicRMW("ctrl", index, AtomicKind.ADD, 5)
+        yield op
+        old.append(int(op.old[0]))
+
+    eng = Engine(TESTGPU.with_(n_cus=1, **lat))
+    eng.memory.alloc("ctrl", 8)
+    res = eng.launch(kernel, 1)
+    want = _afa_cost(lat, 1)
+    assert res.cycles == want, (
+        f"a single AFA took {res.cycles} cycles; closed form issue_cycles "
+        f"+ l2_latency//2 + atomic_service + (l2_latency - l2_latency//2) "
+        f"= {want} with {lat}, scalar={scalar}"
+    )
+    assert old == [0] and int(eng.memory["ctrl"][3]) == 5
+    assert res.stats.atomic_service_cycles == lat["atomic_service"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=atomic_costs, k=st.integers(2, 16), batched=st.booleans())
+def test_same_address_requests_serialize_k_times_service(lat, k, batched):
+    # k requests to one hot word: one wavefront's k-lane batch, or k
+    # wavefronts on k CUs issuing a one-lane AFA on the same cycle.  The
+    # unit serves them one after another, so the last is back k * svc
+    # after the first arrived.
+    def kernel(ctx):
+        n = k if batched else 1
+        yield AtomicRMW("ctrl", np.zeros(n, dtype=np.int64), AtomicKind.ADD, 1)
+
+    eng = Engine(TESTGPU.with_(n_cus=1 if batched else k, **lat))
+    eng.memory.alloc("ctrl", 8)
+    res = eng.launch(kernel, 1 if batched else k)
+    want = _afa_cost(lat, k)
+    how = "one batch" if batched else "k wavefronts"
+    assert res.cycles == want, (
+        f"{k} same-address requests ({how}) took {res.cycles} cycles; "
+        f"closed form "
+        f"issue_cycles + l2_latency//2 + k*atomic_service + (l2_latency "
+        f"- l2_latency//2) = {want} with {lat}"
+    )
+    assert int(eng.memory["ctrl"][0]) == k
+    assert res.stats.atomic_service_cycles == k * lat["atomic_service"]
