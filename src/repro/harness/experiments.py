@@ -233,12 +233,10 @@ def run_tab3(cfg: HarnessConfig,
     return ExperimentResult("tab3", title, text, data)
 
 
-def run_tab4(cfg: HarnessConfig,
-             tab3: Optional[ExperimentResult] = None) -> ExperimentResult:
+def run_tab4(cfg: HarnessConfig) -> ExperimentResult:
     """Table 4: improvement of AN and RF/AN over BASE (percent)."""
     title = "Table 4 — performance improvement over BASE (%)"
-    if tab3 is None:
-        tab3 = run_tab3(cfg)
+    tab3 = run_tab3(cfg)
     rows = []
     data = {"cells": {}}
     for key, cell in tab3.data["cells"].items():
@@ -669,8 +667,8 @@ EXPERIMENTS = {
 # Multi-experiment driver (sequential or process-parallel)
 # ----------------------------------------------------------------------
 #: experiments whose simulations overlap: the fig4 sweep covers every
-#: tab3 cell and every fig1/fig5 point at quick scale, and tab4 derives
-#: from tab3's runs.  Listed in producer-before-consumer order — fig4
+#: tab3 cell and every fig1/fig5 point at quick scale, and tab4 re-reads
+#: tab3's cells.  Listed in producer-before-consumer order — fig4
 #: populates the group's run cache, the others mostly hit it.
 SHARED_SWEEP = ("fig4", "fig1", "fig5", "tab3", "tab4")
 
@@ -711,18 +709,11 @@ def _run_group(cfg: HarnessConfig, group: List[str]) -> List[ExperimentResult]:
     """
     global _cache
     out: List[ExperimentResult] = []
-    shared_tab3: Optional[ExperimentResult] = None
     _cache = _GroupCache()
     try:
         for exp_id in group:
             t0 = time.perf_counter()
-            if exp_id == "tab3":
-                result = run_tab3(cfg)
-                shared_tab3 = result
-            elif exp_id == "tab4":
-                result = run_tab4(cfg, tab3=shared_tab3)
-            else:
-                result = EXPERIMENTS[exp_id](cfg)
+            result = EXPERIMENTS[exp_id](cfg)
             result.elapsed = time.perf_counter() - t0
             out.append(result)
     finally:

@@ -19,8 +19,9 @@ values, CAS success masks) are filled into the op before the generator is
 resumed, so kernels read like straight-line OpenCL with ``yield`` marking
 each wavefront instruction.
 
-Determinism: the event queue breaks time ties by insertion order, and no
-randomness exists anywhere in the engine, so every simulation is exactly
+Determinism: every scheduled event lives in one heap ordered by
+``(time, seq)``, so time ties break by insertion order, and no randomness
+exists anywhere in the engine, so every simulation is exactly
 reproducible.
 
 Wall-clock fast paths
@@ -55,11 +56,6 @@ execution model):
   per-lane reference path instead (loop over lanes for every gather,
   scatter and atomic); it exists so the bit-identity suite can pin the
   vectorized path against an implementation too simple to be wrong;
-* the event most recently scheduled by an issue can park in a one-entry
-  ``nxt`` slot instead of the heap; the slot and the heap top are
-  totally ordered by the same ``(time, seq)`` tuple compare the heap
-  uses, so pop order is unchanged while the common issue->wake cycle
-  skips one heap push+pop;
 * a kernel whose idle work cycle is a fixed cycle of re-yielded polls
   yields one :class:`~repro.simt.ops.Park` instead.  While its reads
   complete elided (or fresh but quiet) on an otherwise idle CU, the
@@ -399,35 +395,20 @@ _EV_ALARM = 5
 #: real events logged between two prunings of the fast-forward event log.
 _LOG_MIN = 4096
 
-# exact-type dispatch ids for issue_from; unknown classes (Op subclasses
-# defined outside this package) are resolved once via isinstance and cached.
-_K_COMPUTE = 1
-_K_LOCAL = 2
-_K_READ = 3
-_K_WRITE = 4
-_K_ATOMIC = 5
-_K_FENCE = 6
-_K_ABORT = 7
+#: the op classes in dispatch-id order (ids from 1); an op of any other
+#: class (an Op subclass defined outside this package) takes the id of
+#: the first of these it is an instance of, resolved once and cached.
+_OP_CLASSES = (Compute, LocalOp, MemRead, MemWrite, AtomicRMW, Fence, Abort)
+_K_COMPUTE, _K_LOCAL, _K_READ, _K_WRITE, _K_ATOMIC, _K_FENCE, _K_ABORT = range(
+    1, len(_OP_CLASSES) + 1
+)
 
-_OP_KIND: Dict[type, int] = {
-    Compute: _K_COMPUTE,
-    LocalOp: _K_LOCAL,
-    MemRead: _K_READ,
-    MemWrite: _K_WRITE,
-    AtomicRMW: _K_ATOMIC,
-    Fence: _K_FENCE,
-    Abort: _K_ABORT,
-}
+#: exact class -> dispatch id for issue_from.
+_OP_KIND: Dict[type, int] = {cls: k for k, cls in enumerate(_OP_CLASSES, 1)}
 
 #: op-kind id -> class name, for probes decoding ``Probe.on_issue``.
 OP_KIND_NAMES: Dict[int, str] = {
-    _K_COMPUTE: "Compute",
-    _K_LOCAL: "LocalOp",
-    _K_READ: "MemRead",
-    _K_WRITE: "MemWrite",
-    _K_ATOMIC: "AtomicRMW",
-    _K_FENCE: "Fence",
-    _K_ABORT: "Abort",
+    k: cls.__name__ for k, cls in enumerate(_OP_CLASSES, 1)
 }
 
 #: execution-path selector for the *data* side of memory ops.  "vector"
@@ -585,15 +566,7 @@ def _classify(observers) -> tuple:
 
 def _resolve_op_kind(cls: type, op: Op) -> int:
     """Classify an op subclass the slow way and memoize the answer."""
-    for base, kind in (
-        (Compute, _K_COMPUTE),
-        (LocalOp, _K_LOCAL),
-        (MemRead, _K_READ),
-        (MemWrite, _K_WRITE),
-        (AtomicRMW, _K_ATOMIC),
-        (Fence, _K_FENCE),
-        (Abort, _K_ABORT),
-    ):
+    for kind, base in enumerate(_OP_CLASSES, 1):
         if isinstance(op, base):
             _OP_KIND[cls] = kind
             return kind
@@ -803,10 +776,6 @@ class Engine:
         span_cache_get = span_cache.get
 
         now = 0
-        #: one-entry fast slot for the most recently scheduled event (see
-        #: module docstring); totally ordered against the heap top by the
-        #: same (time, seq) tuple compare, so pop order never changes.
-        nxt: Optional[tuple] = None
         abort_exc: Optional[KernelAbort] = None
         # engine counters, flushed into `stats` in the finally block
         n_issued = n_compute = n_reads = n_writes = 0
@@ -859,6 +828,29 @@ class Engine:
                 check_bounds(op.buf, op.index)
             return op.index
 
+        def index_span(op, idx) -> tuple:
+            """The ``(min, max)`` span of ``op``'s index ``idx``: the one
+            cached on the op, else computed.  A 1-D int64 vector's span
+            is left on the op by :func:`span_trans` (one pair of
+            reductions per frozen address vector, not per use); any other
+            is not cached here."""
+            sp = op.span
+            if sp is None:
+                if type(idx) is np.ndarray and idx.ndim:
+                    span_trans(op, idx)
+                    sp = op.span
+                    if sp is None:
+                        # not a 1-D int64 vector, or empty (which
+                        # overlaps nothing)
+                        sp = (
+                            (int(idx.min()), int(idx.max()))
+                            if idx.size else (0, -1)
+                        )
+                else:
+                    i = int(idx)
+                    sp = (i, i)
+            return sp
+
         def apply_write(op: MemWrite) -> None:
             nonlocal x_wvec, x_wsc
             buf = op.buf
@@ -895,24 +887,8 @@ class Engine:
                 bufs[buf][idx] = op.values
             e = epochs[buf] = next_epoch()
             if buf in watched:
-                sp = op.span
-                if sp is None:
-                    if type(idx) is np.ndarray and idx.ndim:
-                        # sets op.span via the frozen-array span cache
-                        # when possible (one pair of reductions per
-                        # address vector, not per store).
-                        span_trans(op, idx)
-                        sp = op.span
-                        if sp is None:
-                            sp = (
-                                (int(idx.min()), int(idx.max()))
-                                if idx.size
-                                else (0, -1)
-                            )
-                    else:
-                        i = int(idx)
-                        sp = (i, i)
-                log_bump(buf, e, sp[0], sp[1])
+                mn, mx = index_span(op, idx)
+                log_bump(buf, e, mn, mx)
 
         def issue_from(cu: _CU, direct=None) -> None:
             """While the CU is free and has ready wavefronts, issue one op.
@@ -922,7 +898,7 @@ class Engine:
             attached) is issued without the deque round trip — the single
             hottest call pattern of a saturated launch.
             """
-            nonlocal live, abort_exc, nxt
+            nonlocal live, abort_exc
             nonlocal n_issued, n_compute, n_reads, n_writes, n_trans, n_lds, n_busy
             if abort_exc is not None:
                 return
@@ -1024,11 +1000,7 @@ class Engine:
                     t = b + lat
                     if trans > 1:
                         t += (trans - 1) * pipe
-                    ev = (t, next_seq(), _EV_WF_READY, wf)
-                    if nxt is None:
-                        nxt = ev
-                    else:
-                        heappush(heap, ev)
+                    heappush(heap, (t, next_seq(), _EV_WF_READY, wf))
                     return
                 if kind == _K_ATOMIC:
                     n_busy += issue
@@ -1041,27 +1013,7 @@ class Engine:
                         cu.wake = -1
                     else:
                         cu.wake = next_seq()
-                    ev = (b + lat_to, next_seq(), _EV_ATOMIC, wf)
-                    if nxt is None:
-                        nxt = ev
-                    else:
-                        heappush(heap, ev)
-                    return
-                if kind == _K_COMPUTE:
-                    cyc = op.cycles
-                    occ = cyc if cyc > 0 else 1
-                    n_compute += cyc
-                    n_busy += occ
-                    b = now + occ
-                    cu.busy_until = b
-                    cu.wake = -1
-                    if on_issue is not None:
-                        on_issue(now, cu.cid, wf.wid, _K_COMPUTE, b, 0)
-                    ev = (b, next_seq(), _EV_FREE_READY, wf)
-                    if nxt is None:
-                        nxt = ev
-                    else:
-                        heappush(heap, ev)
+                    heappush(heap, (b + lat_to, next_seq(), _EV_ATOMIC, wf))
                     return
                 if kind == _K_WRITE:
                     trans = op.trans
@@ -1083,15 +1035,9 @@ class Engine:
                         lat += (trans - 1) * pipe
                     # stores are write-buffered: the wavefront proceeds
                     # after issue; the effect lands at completion time.
-                    # (APPLY_WRITE events always go to the heap so the
-                    # end-of-launch drain finds them.)
                     if lat > 0:
                         cu.wake = -1
-                        ev = (b, next_seq(), _EV_FREE_READY, wf)
-                        if nxt is None:
-                            nxt = ev
-                        else:
-                            heappush(heap, ev)
+                        heappush(heap, (b, next_seq(), _EV_FREE_READY, wf))
                         heappush(heap, (b + lat, next_seq(), _EV_APPLY_WRITE, op))
                     else:
                         # zero-latency store: preserve the seed's exact
@@ -1101,41 +1047,33 @@ class Engine:
                         heappush(heap, (b, next_seq(), _EV_APPLY_WRITE, op))
                         heappush(heap, (b, next_seq(), _EV_WF_READY, wf))
                     return
-                if kind == _K_LOCAL:
-                    cyc = op.cycles
-                    occ = cyc if cyc > 0 else 1
-                    n_lds += 1
-                    n_busy += occ
-                    b = now + occ
-                    cu.busy_until = b
-                    cu.wake = -1
-                    if on_issue is not None:
-                        on_issue(now, cu.cid, wf.wid, _K_LOCAL, b, 0)
-                    ev = (b, next_seq(), _EV_FREE_READY, wf)
-                    if nxt is None:
-                        nxt = ev
+                if kind == _K_ABORT:
+                    # queue layers pass structured context via
+                    # Abort.info, surfaced as a typed QueueFullError.
+                    if op.info is not None:
+                        abort_exc = QueueFullError(op.reason, **op.info)
                     else:
-                        heappush(heap, ev)
+                        abort_exc = KernelAbort(op.reason)
                     return
+                # Compute, LocalOp, Fence: the pipe is busy for the op's
+                # occupancy and the wavefront wakes as it frees.
                 if kind == _K_FENCE:
-                    n_busy += issue
-                    b = now + issue
-                    cu.busy_until = b
-                    cu.wake = -1
-                    if on_issue is not None:
-                        on_issue(now, cu.cid, wf.wid, _K_FENCE, b, 0)
-                    ev = (b, next_seq(), _EV_FREE_READY, wf)
-                    if nxt is None:
-                        nxt = ev
-                    else:
-                        heappush(heap, ev)
-                    return
-                # _K_ABORT: queue layers pass structured context via
-                # Abort.info, surfaced as a typed QueueFullError.
-                if op.info is not None:
-                    abort_exc = QueueFullError(op.reason, **op.info)
+                    occ = issue
                 else:
-                    abort_exc = KernelAbort(op.reason)
+                    occ = op.cycles
+                    if kind == _K_COMPUTE:
+                        n_compute += occ
+                    else:
+                        n_lds += 1
+                    if occ <= 0:
+                        occ = 1
+                n_busy += occ
+                b = now + occ
+                cu.busy_until = b
+                cu.wake = -1
+                if on_issue is not None:
+                    on_issue(now, cu.cid, wf.wid, kind, b, 0)
+                heappush(heap, (b, next_seq(), _EV_FREE_READY, wf))
                 return
 
         # -- fast-forward --------------------------------------------------
@@ -1220,22 +1158,7 @@ class Engine:
             """The ``(min, max)`` index span of a read, cached on it."""
             sp = op.span
             if sp is None:
-                idx = op.index
-                if type(idx) is np.ndarray and idx.ndim:
-                    span_trans(op, idx)
-                    sp = op.span
-                    if sp is None:
-                        # empty gather: overlaps nothing, result is
-                        # always the empty array.
-                        sp = (
-                            (int(idx.min()), int(idx.max()))
-                            if idx.size else (0, -1)
-                        )
-                        op.span = sp
-                else:
-                    i = int(idx)
-                    sp = (i, i)
-                    op.span = sp
+                sp = op.span = index_span(op, op.index)
             return sp
 
         def log_clean(buf: str, oe: int, sp: tuple) -> bool:
@@ -1634,17 +1557,8 @@ class Engine:
             for cu in cus:
                 issue_from(cu)
 
-            while live > 0 and abort_exc is None:
-                if nxt is not None:
-                    if heap and heap[0] < nxt:
-                        ev = heappop(heap)
-                    else:
-                        ev = nxt
-                        nxt = None
-                elif heap:
-                    ev = heappop(heap)
-                else:
-                    break
+            while live > 0 and abort_exc is None and heap:
+                ev = heappop(heap)
                 if ev[2] == _EV_ALARM:
                     t, s, _, ch = ev
                     if ch is None:
@@ -1795,31 +1709,16 @@ class Engine:
                                     wf.ff_skip -= 1
                                 elif go_virtual(wf, park, s):
                                     continue
-                            ev = (now + park.delays[park.cur], s, _EV_WF_READY, wf)
-                            if nxt is None:
-                                nxt = ev
-                            else:
-                                heappush(heap, ev)
+                            t = now + park.delays[park.cur]
+                            heappush(heap, (t, s, _EV_WF_READY, wf))
                             continue
                         # anything else resumes the kernel after this read
                         wf.park = None
-                    if now < cu.busy_until:
-                        cu.ready.append(wf)
-                        w = cu.wake
-                        if w >= 0:
-                            heappush(
-                                heap, (cu.busy_until, w, _EV_CU_FREE, cu)
-                            )
-                            cu.wake = -1
-                    elif controlled or cu.ready:
-                        cu.ready.append(wf)
-                        issue_from(cu)
-                    else:
-                        issue_from(cu, wf)
                 elif kind == _EV_CU_FREE:
                     cu = payload
                     if cu.ready and now >= cu.busy_until:
                         issue_from(cu)
+                    continue
                 elif kind == _EV_FREE_READY:
                     wf = payload
                     cu = wf.cu
@@ -1827,19 +1726,6 @@ class Engine:
                     # seed's separate (earlier-sequence) event did.
                     if cu.ready and now >= cu.busy_until:
                         issue_from(cu)
-                    if now < cu.busy_until:
-                        cu.ready.append(wf)
-                        w = cu.wake
-                        if w >= 0:
-                            heappush(
-                                heap, (cu.busy_until, w, _EV_CU_FREE, cu)
-                            )
-                            cu.wake = -1
-                    elif controlled or cu.ready:
-                        cu.ready.append(wf)
-                        issue_from(cu)
-                    else:
-                        issue_from(cu, wf)
                 elif kind == _EV_ATOMIC:
                     wf = payload
                     op = wf.pending
@@ -1859,13 +1745,24 @@ class Engine:
                         else:
                             a = int(a)
                             log_bump(buf, e, a, a)
-                    ev = (last_end + lat_back, next_seq(), _EV_WF_READY, wf)
-                    if nxt is None:
-                        nxt = ev
-                    else:
-                        heappush(heap, ev)
+                    t = last_end + lat_back
+                    heappush(heap, (t, next_seq(), _EV_WF_READY, wf))
+                    continue
                 else:  # _EV_APPLY_WRITE
                     apply_write(payload)
+                    continue
+                # WF_READY and FREE_READY: resume `wf` on its CU
+                if now < cu.busy_until:
+                    cu.ready.append(wf)
+                    w = cu.wake
+                    if w >= 0:
+                        heappush(heap, (cu.busy_until, w, _EV_CU_FREE, cu))
+                        cu.wake = -1
+                elif controlled or cu.ready:
+                    cu.ready.append(wf)
+                    issue_from(cu)
+                else:
+                    issue_from(cu, wf)
 
             if abort_exc is not None:
                 raise abort_exc

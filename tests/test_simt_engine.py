@@ -23,6 +23,7 @@ from repro.simt import (
     attached,
     transactions_for,
 )
+from repro.simt.engine import OP_KIND_NAMES
 from repro.simt.probe import ProbeFanout
 from repro.verify.schedule import FifoController
 
@@ -161,6 +162,37 @@ class TestMemoryTiming:
         # ten issue slots + one final flush; blocking would be ~10 latencies
         assert res.cycles <= 10 * dev.issue_cycles + dev.mem_latency
         assert res.cycles >= dev.mem_latency  # final flush is charged
+
+    def test_store_keeps_no_span_it_was_not_issued_with(self, engine):
+        """A store on a watched buffer logs its span for the elision
+        proof, and the poll it overlaps samples afresh; a span computed
+        only for that log is not cached on the MemWrite."""
+        engine.memory.alloc("buf", 1024)
+        seen = []
+        stores = [
+            MemWrite("buf", 5, 7, prechecked=True),
+            MemWrite("buf", np.array([[1, 2]]), 3),
+            MemWrite("buf", np.array([], dtype=np.int64), 0),
+        ]
+
+        def kernel(ctx):
+            if ctx.wf_id == 0:
+                rd = MemRead("buf", np.array([5], dtype=np.int64),
+                             prechecked=True)
+                for _ in range(50):
+                    yield rd
+                    if int(rd.result[0]) == 7:
+                        seen.append(rd.fresh)
+                        return
+            else:
+                yield Compute(100)  # the poll watches "buf" by now
+                for st in stores:
+                    yield st
+
+        engine.launch(kernel, 2)
+        assert seen == [True]
+        assert engine.memory["buf"][:3].tolist() == [0, 3, 3]
+        assert [st.span for st in stores] == [None, None, None]
 
     def test_hot_buffer_uses_l2_latency(self, testgpu):
         def kernel(ctx):
@@ -307,6 +339,28 @@ class TestAtomics:
 
 
 class TestControlFlow:
+    def test_freed_pipe_issues_waiting_wavefronts_first(self, testgpu):
+        """A Compute's combined free+ready event is the CU_FREE and
+        WF_READY pair it replaces: the freed CU issues from the
+        wavefronts already waiting before the completing one rejoins
+        the ready set, so a controller picking the newest ready
+        wavefront never sees it there."""
+        picks = []
+
+        class Newest:
+            def pick(self, now, cid, ready):
+                picks.append([wf.wid for wf in ready])
+                return len(ready) - 1
+
+        def kernel(ctx):
+            yield Compute(10)
+            yield Compute(10)
+
+        eng = Engine(testgpu.with_(n_cus=1))
+        res = eng.launch(kernel, 2, observers=[Newest()])
+        assert res.cycles == 40
+        assert picks == [[0, 1], [0], [1], [0], [1], [0]]
+
     def test_fence_and_localop(self, engine):
         def kernel(ctx):
             yield LocalOp(4)
@@ -337,6 +391,53 @@ class TestControlFlow:
 
         with pytest.raises(TypeError):
             engine.launch(kernel, 1)
+
+    def test_op_subclasses_dispatch_as_their_bases(self, testgpu):
+        """An Op subclass from outside the package takes its base's
+        dispatch id: same cost, same ``on_issue`` kind, same result."""
+        from repro.simt.engine import _OP_KIND
+
+        class MyCompute(Compute):
+            __slots__ = ()
+
+        class MyRead(MemRead):
+            __slots__ = ()
+
+        def run(compute, read):
+            seen = []
+
+            def kernel(ctx):
+                yield compute(30)
+                rd = read("buf", np.arange(40, dtype=np.int64) * 8)
+                yield rd
+                seen.append(rd.result.tolist())
+                yield compute(0)
+
+            issues = []
+
+            class Kinds(Probe):
+                def on_issue(self, cycle, cu, wf, kind, end, trans):
+                    issues.append((cycle, cu, wf, kind, end, trans))
+
+            eng = Engine(testgpu)
+            eng.memory.alloc("buf", 512)
+            eng.memory["buf"][:] = np.arange(512)
+            res = eng.launch(kernel, 3, observers=[Kinds()])
+            return res.cycles, res.stats.snapshot(), issues, seen
+
+        assert MyCompute not in _OP_KIND and MyRead not in _OP_KIND
+        base = run(Compute, MemRead)
+        sub = run(MyCompute, MyRead)
+        assert sub == base
+        assert _OP_KIND[MyCompute] == _OP_KIND[Compute]
+        assert _OP_KIND[MyRead] == _OP_KIND[MemRead]
+        names = [OP_KIND_NAMES[i[3]] for i in sub[2] if i[2] == 0]
+        assert names == ["Compute", "MemRead", "Compute"]
+        # every id the table holds, subclasses' included, has a name
+        assert set(_OP_KIND.values()) <= set(OP_KIND_NAMES)
+        for cls in (Compute, LocalOp, MemRead, MemWrite, AtomicRMW,
+                    Fence, Abort):
+            assert OP_KIND_NAMES[_OP_KIND[cls]] == cls.__name__
 
     def test_watchdog_timeout(self, engine):
         engine.memory.alloc("flag", 1)
@@ -536,6 +637,38 @@ class TestPerOpCallbacks:
                       observers=[exits])
         assert calls == []
         assert len(exits.exits) == 3
+
+    def test_wakes_end_only_memory_and_atomic_stalls(self, engine):
+        """``on_wake`` marks the completion of a read or atomic; ops that
+        free the pipe and resume the wavefront on one cycle (Compute,
+        LocalOp, Fence, a buffered store) wake nothing."""
+        events = []
+
+        class Rec(Probe):
+            def on_issue(self, cycle, cu, wf, kind, end, trans):
+                events.append(("issue", wf, OP_KIND_NAMES[kind], end))
+
+            def on_wake(self, cycle, wf):
+                events.append(("wake", wf, cycle))
+
+        def kernel(ctx):
+            yield Compute(3)
+            yield LocalOp(2)
+            yield Fence()
+            yield MemWrite("b", ctx.wf_id, 1)
+            yield MemRead("b", ctx.wf_id)
+            yield AtomicRMW("c", 0, AtomicKind.ADD, 1)
+
+        engine.memory.alloc("b", 64)
+        engine.memory.alloc("c", 1)
+        engine.launch(kernel, 3, observers=[Rec()])
+        for wf in range(3):
+            mine = [e for e in events if e[1] == wf]
+            kinds = [e[2] if e[0] == "issue" else "wake" for e in mine]
+            assert kinds == ["Compute", "LocalOp", "Fence", "MemWrite",
+                             "MemRead", "wake", "AtomicRMW", "wake"]
+            read_end = mine[4][3]
+            assert mine[5][2] == read_end + engine.device.l2_latency
 
     def test_fanout_with_the_flight_recorder_keeps_every_timeline_issue(
         self, testgpu
