@@ -48,7 +48,7 @@ from repro.simt import (
     MemWrite,
     Op,
 )
-from repro.simt.lanes import rank_within
+from repro.simt.lanes import rank_within, word_lanes
 
 from .constants import FRONT, REAR
 from .queue_api import (
@@ -206,7 +206,7 @@ class BaseCasQueue(DeviceQueue):
         exp = front + ranks[lanes]
         op = AtomicRMW(
             self.buf_ctrl,
-            np.full(lanes.size, FRONT, dtype=np.int64),
+            word_lanes(FRONT, lanes.size),
             AtomicKind.CAS,
             exp,
             exp + 1,
@@ -284,7 +284,7 @@ class BaseCasQueue(DeviceQueue):
             exp = rear + ranks[lanes]
             op = AtomicRMW(
                 self.buf_ctrl,
-                np.full(lanes.size, REAR, dtype=np.int64),
+                word_lanes(REAR, lanes.size),
                 AtomicKind.CAS,
                 exp,
                 exp + 1,

@@ -66,6 +66,7 @@ from repro.simt import (
     Op,
     Park,
 )
+from repro.simt.lanes import word_lanes
 from repro.simt.probe import overridden
 
 from .constants import DEFAULT_SUBTASKS_PER_CYCLE, DONE, PENDING
@@ -413,7 +414,7 @@ def persistent_kernel(
                             k = int(has_new.sum())
                             op = AtomicRMW(
                                 sched.buf_ctrl,
-                                np.full(k, PENDING, dtype=np.int64),
+                                word_lanes(PENDING, k),
                                 AtomicKind.ADD,
                                 res.new_counts[has_new],
                             )
@@ -440,7 +441,7 @@ def persistent_kernel(
                     else:
                         op = AtomicRMW(
                             sched.buf_ctrl,
-                            np.full(n_done, PENDING, dtype=np.int64),
+                            word_lanes(PENDING, n_done),
                             AtomicKind.ADD,
                             -1,
                         )

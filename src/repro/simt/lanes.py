@@ -16,6 +16,7 @@ thread.  :func:`rank_within` computes both in one shot.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -24,6 +25,16 @@ import numpy as np
 def lane_ids(wavefront_size: int) -> np.ndarray:
     """Lane index vector ``[0, 1, ..., wavefront_size-1]``."""
     return np.arange(wavefront_size, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def word_lanes(word: int, n: int) -> np.ndarray:
+    """Read-only index vector of ``n`` lanes that all name word ``word``:
+    the index of a per-lane atomic burst on one control word, shared per
+    ``(word, n)`` so a burst allocates no index."""
+    lanes = np.full(n, word, dtype=np.int64)
+    lanes.flags.writeable = False
+    return lanes
 
 
 def rank_within(mask: np.ndarray) -> Tuple[np.ndarray, int]:

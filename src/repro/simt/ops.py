@@ -162,7 +162,9 @@ class AtomicRMW(Op):
     the wavefront then needs only this one request.
     """
 
-    __slots__ = ("buf", "index", "kind", "operand", "operand2", "old", "success")
+    __slots__ = (
+        "buf", "index", "kind", "operand", "operand2", "old", "success", "span",
+    )
 
     def __init__(self, buf: str, index, kind: AtomicKind, operand, operand2=None):
         self.buf = buf
@@ -172,6 +174,8 @@ class AtomicRMW(Op):
         self.operand2 = operand2
         self.old: Optional[np.ndarray] = None
         self.success: Optional[np.ndarray] = None
+        #: ``(min, max)`` of the addresses, set at every service.
+        self.span: Optional[tuple] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

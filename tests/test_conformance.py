@@ -4,10 +4,11 @@ Each micro-kernel's cycle count follows from docs/simulator_model.md
 ("Per-op costs"): a ``MemRead`` resumes its wavefront ``issue + LAT +
 (T-1)*pipe`` cycles after it issues, a ``MemWrite`` lands ``issue + LAT
 + (T-1)*pipe`` after its issue, a ``Compute(c)`` resumes after ``c``,
-and an ``AtomicRMW`` of ``k`` requests to one word resumes ``issue +
-L2/2 + k*svc + L2/2`` after it issues.  The sweeps run over ``DeviceSpec`` latencies, so a change to how
-any of them is charged fails here with the parameter named, not only as
-a golden diff.  The read kernels run a lone wavefront per CU, where a
+and an ``AtomicRMW`` whose busiest word receives ``k`` requests resumes
+``issue + L2/2 + k*svc + L2/2`` after it issues (``k = 1`` for distinct
+words).  CAS bursts on one word also pin their winners.  The sweeps run
+over ``DeviceSpec`` latencies, so a change to how any of them is charged
+fails here with the parameter named, not only as a golden diff.  The read kernels run a lone wavefront per CU, where a
 parked poll loop is fast-forwarded in closed form.
 """
 
@@ -207,3 +208,117 @@ def test_same_address_requests_serialize_k_times_service(lat, k, batched):
     )
     assert int(eng.memory["ctrl"][0]) == k
     assert res.stats.atomic_service_cycles == k * lat["atomic_service"]
+
+
+def _afa_kernel(op: AtomicRMW, seen: list):
+    def kernel(ctx):
+        yield op
+        seen.append(op)
+    return kernel
+
+
+def _atomic_engine(lat: dict, hot: bool) -> tuple:
+    # a hot control word or a cold data buffer (hot buffers also track
+    # cross-batch unit occupancy; both serialize within a batch)
+    eng = Engine(TESTGPU.with_(n_cus=1, **lat))
+    name = "ctrl" if hot else "bulk"
+    eng.memory.alloc(name, 64 if hot else 4096)
+    return eng, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=atomic_costs, hot=st.booleans(), data=st.data())
+def test_distinct_address_batch_costs_one_service(lat, hot, data):
+    # k lanes on k distinct words: k parallel units, one service time
+    eng, name = _atomic_engine(lat, hot)
+    size = eng.memory[name].size
+    idx = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                             max_size=64, unique=True))
+    k = len(idx)
+    seen = []
+    op = AtomicRMW(name, np.array(idx, dtype=np.int64), AtomicKind.ADD,
+                   np.arange(1, k + 1, dtype=np.int64))
+    res = eng.launch(_afa_kernel(op, seen), 1)
+    want = _afa_cost(lat, 1)
+    assert res.cycles == want, (
+        f"a {k}-lane distinct-address batch took {res.cycles} cycles; "
+        f"closed form issue_cycles + l2_latency//2 + atomic_service + "
+        f"(l2_latency - l2_latency//2) = {want} whatever k, with {lat}, "
+        f"hot={hot}"
+    )
+    assert eng.memory[name][idx].tolist() == list(range(1, k + 1))
+    assert seen[0].old.tolist() == [0] * k
+    assert res.stats.atomic_service_cycles == k * lat["atomic_service"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=atomic_costs, hot=st.booleans(), data=st.data())
+def test_mixed_duplicate_batch_costs_its_longest_run(lat, hot, data):
+    # requests to one word serialize, distinct words run in parallel:
+    # the batch is back after m services, m the most requests any one
+    # word receives
+    eng, name = _atomic_engine(lat, hot)
+    span = data.draw(st.integers(2, 8))
+    base = data.draw(st.integers(0, eng.memory[name].size - span))
+    idx = data.draw(st.lists(st.integers(base, base + span - 1),
+                             min_size=3, max_size=64))
+    m = max(idx.count(a) for a in set(idx))
+    seen = []
+    op = AtomicRMW(name, np.array(idx, dtype=np.int64), AtomicKind.ADD, 1)
+    res = eng.launch(_afa_kernel(op, seen), 1)
+    want = _afa_cost(lat, m)
+    assert res.cycles == want, (
+        f"a batch whose busiest word gets m={m} of {len(idx)} requests "
+        f"took {res.cycles} cycles; closed form issue_cycles + "
+        f"l2_latency//2 + m*atomic_service + (l2_latency - l2_latency//2) "
+        f"= {want} with {lat}, hot={hot}, idx={idx}"
+    )
+    words = eng.memory[name]
+    assert all(int(words[a]) == idx.count(a) for a in set(idx))
+    # each lane sees the count of earlier lanes on its word
+    assert seen[0].old.tolist() == [idx[:j].count(a) for j, a in enumerate(idx)]
+    assert res.stats.atomic_service_cycles == len(idx) * lat["atomic_service"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lat=atomic_costs, k=st.integers(2, 64), chained=st.booleans(),
+       data=st.data())
+def test_cas_burst_winners(lat, k, chained, data):
+    # k lanes CAS one word.  Same-expected: the first lane wins, every
+    # later one sees its new value and fails.  Speculative tickets
+    # (expected = base + rank, new = expected + 1): the lane whose
+    # ticket matches the word wins and each later lane's ticket then
+    # matches too.
+    eng, name = _atomic_engine(lat, True)
+    base = 100
+    s = data.draw(st.integers(0, k)) if chained else 0
+    eng.memory[name][0] = base + s
+    if chained:
+        exp = base + np.arange(k, dtype=np.int64)
+        op = AtomicRMW(name, np.zeros(k, dtype=np.int64), AtomicKind.CAS,
+                       exp, exp + 1)
+        wins = [j >= s for j in range(k)]
+        final = base + k if s < k else base + s
+        old = [base + s] * min(s + 1, k) + [base + j for j in range(s + 1, k)]
+    else:
+        op = AtomicRMW(name, np.zeros(k, dtype=np.int64), AtomicKind.CAS,
+                       base, base + 1)
+        wins = [True] + [False] * (k - 1)
+        final = base + 1
+        old = [base] + [base + 1] * (k - 1)
+    seen = []
+    res = eng.launch(_afa_kernel(op, seen), 1)
+    how = f"chained from {s}" if chained else "same-expected"
+    assert seen[0].success.tolist() == wins, f"{how} burst of {k}"
+    assert seen[0].old.tolist() == old, f"{how} burst of {k}"
+    assert res.stats.cas_failures == wins.count(False), (
+        f"{how} burst of {k}: {res.stats.cas_failures} CAS failures, "
+        f"want {wins.count(False)}"
+    )
+    assert int(eng.memory[name][0]) == final
+    want = _afa_cost(lat, k)
+    assert res.cycles == want, (
+        f"a {k}-lane {how} CAS burst took {res.cycles} cycles; closed "
+        f"form issue_cycles + l2_latency//2 + k*atomic_service + "
+        f"(l2_latency - l2_latency//2) = {want} with {lat}"
+    )

@@ -194,6 +194,43 @@ class TestMemoryTiming:
         assert engine.memory["buf"][:3].tolist() == [0, 3, 3]
         assert [st.span for st in stores] == [None, None, None]
 
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_store_re_yielded_with_a_new_index_logs_that_index(
+        self, engine, bad
+    ):
+        """A non-prechecked store re-yielded with a new index is
+        bounds-checked and span-logged at that index, not at the one it
+        was first applied with: the poll of word 5 samples the 7 it
+        writes, and an out-of-bounds index faults."""
+        engine.memory.alloc("buf", 1024)
+        seen = []
+
+        def kernel(ctx):
+            if ctx.wf_id == 0:
+                rd = MemRead("buf", np.array([5], dtype=np.int64),
+                             prechecked=True)
+                for _ in range(50):
+                    yield rd
+                    if int(rd.result[0]) == 7:
+                        seen.append(rd.fresh)
+                        return
+            else:
+                yield Compute(100)  # the poll watches "buf" by now
+                st = MemWrite("buf", 0, 1)
+                yield st
+                yield Compute(100)  # the first store has landed
+                st.index = 1024 if bad else 5
+                st.values = 7
+                yield st
+
+        if bad:
+            with pytest.raises(simt.MemoryFault, match="index 1024"):
+                engine.launch(kernel, 2)
+        else:
+            engine.launch(kernel, 2)
+            assert seen == [True]
+            assert engine.memory["buf"][[0, 5]].tolist() == [1, 7]
+
     def test_hot_buffer_uses_l2_latency(self, testgpu):
         def kernel(ctx):
             yield MemRead("ctrl", 0)
