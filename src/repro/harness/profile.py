@@ -121,7 +121,7 @@ def _exec_breakdown_text(counts: dict, times: dict, elapsed: float) -> str:
         lines.append(
             "atomic service shapes: "
             + "  ".join(f"{k}={v}" for k, v in atomics.items())
-            + f"  (general per-lane walk: "
+            + f"  (general, mixed addresses: "
             f"{atomics.get('general', 0) / total_at:.1%})"
         )
     timed = sum(times.values())
